@@ -144,9 +144,11 @@ def shortest_path_nodes(
     kernel, whichever the resolved backend names — ``"auto"`` (the
     default outside an armed :func:`~repro.core.backend.backend_scope`)
     picks the fastest structure attached to the network, which is
-    exactly the pre-backend behaviour.  Custom weight vectors always
-    take the reference kernel: the accelerator structures are priced on
-    default travel times only.
+    exactly the pre-backend behaviour.  Custom weight vectors (Penalty's
+    penalised searches) skip the backend dispatch, since ALT and CH are
+    priced on default travel times only, and run on the CSR kernel when
+    a view is attached, on :func:`dijkstra` otherwise — see
+    :func:`kernel_dijkstra`.
 
     The backend that answered is counted in the ambient
     :class:`~repro.observability.search.SearchStats`
@@ -160,7 +162,7 @@ def shortest_path_nodes(
         # Lazy imports: repro.graph.csr imports algorithms.sp_tree, so
         # module-level imports here would be circular.
         from repro.core.backend import active_backend, resolve_backend
-        from repro.graph.csr import attached_csr, csr_dijkstra
+        from repro.graph.csr import attached_csr
 
         backend = resolve_backend(network, active_backend())
         stats = active_search_stats()
@@ -181,15 +183,41 @@ def shortest_path_nodes(
             return alt_shortest_path_nodes(network, csr, source, target)
         if stats is not None:
             stats.backend_dijkstra += 1
-        csr = attached_csr(network)
-        if csr is not None:
-            tree = csr_dijkstra(network, csr, source, target=target)
-            return _unwind(network, tree, source, target)
-    tree = dijkstra(network, source, weights=weights, target=target)
-    return _unwind(network, tree, source, target)
+    tree = kernel_dijkstra(network, source, weights=weights, target=target)
+    return unwind_nodes(network, tree, source, target)
 
 
-def _unwind(
+def kernel_dijkstra(
+    network: RoadNetwork,
+    root: int,
+    weights: Optional[Sequence[float]] = None,
+    forward: bool = True,
+    target: Optional[int] = None,
+) -> ShortestPathTree:
+    """:func:`dijkstra` on the fastest kernel available.
+
+    With a :class:`~repro.graph.csr.CsrGraph` attached the flat CSR
+    kernel runs — for any weight vector, since its arcs relax in the
+    pure kernel's order and its trees are identical value for value;
+    without one, :func:`dijkstra` itself, the reference the
+    differential tiers compare against.
+    """
+    # Lazy import: repro.graph.csr imports algorithms.sp_tree, so a
+    # module-level import here would be circular.
+    from repro.graph.csr import attached_csr, csr_dijkstra
+
+    csr = attached_csr(network)
+    if csr is not None:
+        return csr_dijkstra(
+            network, csr, root, weights=weights, forward=forward,
+            target=target,
+        )
+    return dijkstra(
+        network, root, weights=weights, forward=forward, target=target
+    )
+
+
+def unwind_nodes(
     network: RoadNetwork,
     tree: ShortestPathTree,
     source: int,
@@ -198,11 +226,12 @@ def _unwind(
     """Walk parent edges target -> source into a node sequence."""
     if not tree.reachable(target):
         raise DisconnectedError(source, target)
+    edges = network._edges  # ids come from the tree: no bounds check
+    parent_edge = tree.parent_edge
     nodes = [target]
     current = target
     while current != source:
-        edge = network.edge(tree.parent_edge[current])
-        current = edge.u
+        current = edges[parent_edge[current]].u
         nodes.append(current)
     nodes.reverse()
     return nodes

@@ -75,17 +75,21 @@ class ShortestPathTree:
             if self.forward:
                 raise DisconnectedError(self.root, node_id)
             raise DisconnectedError(node_id, self.root)
+        # Parent ids come from the kernel, so index the edge list
+        # directly instead of paying a bounds-checked call per hop.
+        all_edges = self.network._edges
+        parent_edge = self.parent_edge
         edges: List[int] = []
-        current = node_id
-        while True:
-            edge_id = self.parent_edge[current]
-            if edge_id < 0:
-                break
-            edges.append(edge_id)
-            edge = self.network.edge(edge_id)
-            current = edge.u if self.forward else edge.v
+        edge_id = parent_edge[node_id]
         if self.forward:
+            while edge_id >= 0:
+                edges.append(edge_id)
+                edge_id = parent_edge[all_edges[edge_id].u]
             edges.reverse()
+        else:
+            while edge_id >= 0:
+                edges.append(edge_id)
+                edge_id = parent_edge[all_edges[edge_id].v]
         return edges
 
     def path_from_root(self, node_id: int) -> Path:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.exceptions import ConfigurationError, DisconnectedError
-from repro.algorithms.dijkstra import dijkstra
+from repro.algorithms.dijkstra import kernel_dijkstra
 from repro.core.base import DEFAULT_K, AlternativeRoutePlanner
 from repro.core.plateaus import find_plateaus, plateau_route
 from repro.graph.network import RoadNetwork
@@ -104,10 +104,10 @@ class CommercialEngine(AlternativeRoutePlanner):
 
     def _plan_routes(self, source: int, target: int) -> List[Path]:
         weights = self.private_weights()
-        forward_tree = dijkstra(
+        forward_tree = kernel_dijkstra(
             self.network, source, weights=weights, forward=True
         )
-        backward_tree = dijkstra(
+        backward_tree = kernel_dijkstra(
             self.network, target, weights=weights, forward=False
         )
         if not forward_tree.reachable(target):
@@ -121,9 +121,7 @@ class CommercialEngine(AlternativeRoutePlanner):
         # ranking alone does not guarantee it).
         plateaus = find_plateaus(forward_tree, backward_tree, weights=weights)
         optimal_route = Path.from_edges(
-            self.network,
-            forward_tree.path_from_root(target).edge_ids,
-            weights,
+            self.network, forward_tree.edge_ids_to_root(target), weights
         )
         stats = active_search_stats() or SearchStats()
         candidates: List[Path] = [optimal_route]
@@ -135,10 +133,9 @@ class CommercialEngine(AlternativeRoutePlanner):
                 continue
             if not backward_tree.reachable(plateau.end):
                 continue
-            route = plateau_route(plateau, forward_tree, backward_tree)
-            # Re-create with private pricing (plateau_route prices on
-            # the default weights).
-            route = Path.from_edges(self.network, route.edge_ids, weights)
+            route = plateau_route(
+                plateau, forward_tree, backward_tree, weights
+            )
             stats.candidates_generated += 1
             if route.edge_id_set in seen or not route.is_simple():
                 stats.candidates_pruned += 1

@@ -14,6 +14,7 @@ always the shortest path itself.
 from __future__ import annotations
 
 import math
+import operator
 from typing import List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -84,35 +85,55 @@ class DissimilarityPlanner(AlternativeRoutePlanner):
         )
 
         # Candidate via-nodes in ascending via-path cost.
-        candidates: List[Tuple[float, int]] = []
-        for node_id in range(self.network.num_nodes):
-            cost = forward_tree.distance(node_id) + backward_tree.distance(
-                node_id
-            )
-            if cost <= limit:
-                candidates.append((cost, node_id))
+        costs = map(operator.add, forward_tree.dist, backward_tree.dist)
+        candidates: List[Tuple[float, int]] = [
+            (cost, node_id)
+            for node_id, cost in enumerate(costs)
+            if cost <= limit
+        ]
         candidates.sort()
 
+        edges = self.network._edges  # tree parent ids: no bounds check
+        forward_parent = forward_tree.parent_edge
+        backward_parent = backward_tree.parent_edge
         selected: List[Path] = []
         seen: set[frozenset[int]] = set()
+        examined_nodes: set[int] = set()
         stats = active_search_stats() or SearchStats()
         deadline = active_deadline()
         examined = 0
-        for _, via in candidates:
+        for cost, via in candidates:
             examined += 1
             if deadline is not None and not (
                 examined & DEADLINE_CHECK_MASK
             ):
                 deadline.check()
-            path = self._via_path(via, source, target, forward_tree,
-                                  backward_tree)
-            if path is None:
-                continue
+            if cost == math.inf:
+                break  # the rest are unreachable (no stretch bound)
             stats.candidates_generated += 1
-            if path.edge_id_set in seen:
+            examined_nodes.add(via)
+            # When the backward tree leaves via's forward parent through
+            # the edge that enters via, both via-paths are the same walk
+            # edge for edge; once the parent is examined, its edge set
+            # is in ``seen`` and this duplicate needs no walk.
+            edge_id = forward_parent[via]
+            if edge_id >= 0:
+                parent = edges[edge_id].u
+                if (
+                    backward_parent[parent] == edge_id
+                    and parent in examined_nodes
+                ):
+                    stats.candidates_pruned += 1
+                    continue
+            # sp(s, via) + sp(via, t), assembled from the two trees.
+            edge_ids = forward_tree.edge_ids_to_root(via)
+            edge_ids.extend(backward_tree.edge_ids_to_root(via))
+            edge_set = frozenset(edge_ids)
+            if edge_set in seen:
                 stats.candidates_pruned += 1
                 continue
-            seen.add(path.edge_id_set)
+            seen.add(edge_set)
+            path = Path.from_edges(self.network, edge_ids)
             if not path.is_simple():
                 # Via-paths through off-route nodes can double back;
                 # such walks are never meaningful alternatives.
@@ -127,23 +148,3 @@ class DissimilarityPlanner(AlternativeRoutePlanner):
             else:
                 stats.candidates_pruned += 1
         return selected
-
-    def _via_path(
-        self,
-        via: int,
-        source: int,
-        target: int,
-        forward_tree,
-        backward_tree,
-    ) -> Optional[Path]:
-        """Assemble ``sp(s, via) + sp(via, t)`` from the two trees."""
-        if not forward_tree.reachable(via) or not backward_tree.reachable(via):
-            return None
-        edge_ids: List[int] = []
-        if via != source:
-            edge_ids.extend(forward_tree.edge_ids_to_root(via))
-        if via != target:
-            edge_ids.extend(backward_tree.edge_ids_to_root(via))
-        if not edge_ids:
-            return None
-        return Path.from_edges(self.network, edge_ids)

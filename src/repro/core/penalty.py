@@ -18,10 +18,11 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.exceptions import ConfigurationError, DisconnectedError
-from repro.algorithms.dijkstra import shortest_path_nodes
+from repro.algorithms.dijkstra import shortest_path_nodes, unwind_nodes
 from repro.algorithms.turn_aware import turn_aware_shortest_path
 from repro.cancellation import active_deadline
 from repro.core.base import DEFAULT_K, AlternativeRoutePlanner
+from repro.core.search_context import active_search_context
 from repro.graph.network import RoadNetwork
 from repro.graph.path import Path
 from repro.graph.turns import TurnRestrictionTable
@@ -104,13 +105,30 @@ class PenaltyPlanner(AlternativeRoutePlanner):
         self.restrictions = restrictions
 
     def _penalised_search(
-        self, source: int, target: int, penalised: List[float]
+        self, source: int, target: int, penalised: List[float],
+        first: bool = False,
     ) -> Path:
-        """One shortest-path iteration, turn-aware when configured."""
+        """One shortest-path iteration, turn-aware when configured.
+
+        The ``first`` iteration searches unpenalised weights, so its
+        path is the shared forward tree's path to the target when the
+        ambient :class:`~repro.core.search_context.SearchContext`
+        answers this query on default weights: the same tree, relaxed
+        in the same order, gives the same node sequence.
+        """
         if self.restrictions is None or self.restrictions.is_empty:
-            nodes = shortest_path_nodes(
-                self.network, source, target, weights=penalised
-            )
+            context = active_search_context() if first else None
+            if (
+                context is not None
+                and context.weights is None
+                and context.matches(self.network, source, target)
+            ):
+                tree = context.forward_tree()
+                nodes = unwind_nodes(self.network, tree, source, target)
+            else:
+                nodes = shortest_path_nodes(
+                    self.network, source, target, weights=penalised
+                )
             return Path.from_nodes(self.network, nodes, penalised)
         return turn_aware_shortest_path(
             self.network, source, target, self.restrictions,
@@ -126,13 +144,15 @@ class PenaltyPlanner(AlternativeRoutePlanner):
         stats = active_search_stats() or SearchStats()
         deadline = active_deadline()
 
-        for _ in range(self.max_iterations):
+        for iteration in range(self.max_iterations):
             # One penalised re-search per iteration: honour the ambient
             # deadline between full Dijkstra runs.
             if deadline is not None:
                 deadline.check()
             try:
-                found = self._penalised_search(source, target, penalised)
+                found = self._penalised_search(
+                    source, target, penalised, first=iteration == 0
+                )
             except DisconnectedError:
                 # Penalties only raise weights, so disconnection cannot
                 # appear mid-run; surface a genuinely unroutable query.

@@ -20,7 +20,7 @@ as the dominant cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.algorithms.sp_tree import ShortestPathTree
@@ -88,16 +88,18 @@ def find_plateaus(
             "find_plateaus needs a forward tree and a backward tree"
         )
     network = forward_tree.network
+    # Parent ids come from the kernels: index the edge list directly.
+    edges = network._edges
+    backward_parent = backward_tree.parent_edge
     # next_common[u] = edge id of the common edge leaving u, if any.
     next_common: Dict[int, int] = {}
     has_incoming: set[int] = set()
-    for v in range(network.num_nodes):
-        edge_id = forward_tree.parent_edge[v]
+    for v, edge_id in enumerate(forward_tree.parent_edge):
         if edge_id < 0:
             continue
-        edge = network.edge(edge_id)
-        if backward_tree.parent_edge[edge.u] == edge_id:
-            next_common[edge.u] = edge_id
+        u = edges[edge_id].u
+        if backward_parent[u] == edge_id:
+            next_common[u] = edge_id
             has_incoming.add(v)
 
     plateaus: List[Plateau] = []
@@ -112,10 +114,9 @@ def find_plateaus(
         current = start
         while current in next_common:
             edge_id = next_common[current]
-            edge = network.edge(edge_id)
             edge_ids.append(edge_id)
             weight += weights[edge_id]
-            current = edge.v
+            current = edges[edge_id].v
             nodes.append(current)
         if len(edge_ids) >= min_edges:
             plateaus.append(
@@ -133,22 +134,23 @@ def plateau_route(
     plateau: Plateau,
     forward_tree: ShortestPathTree,
     backward_tree: ShortestPathTree,
+    weights: Optional[Sequence[float]] = None,
 ) -> Path:
     """Complete a plateau into a full s-t route.
 
     Prepends the forward-tree path ``s -> plateau.start`` and appends
-    the backward-tree path ``plateau.end -> t``.
+    the backward-tree path ``plateau.end -> t``; the route is priced on
+    ``weights`` (default travel times if None).
     """
     network = forward_tree.network
-    edge_ids: List[int] = []
-    edge_ids.extend(forward_tree.edge_ids_to_root(plateau.start))
+    edge_ids = forward_tree.edge_ids_to_root(plateau.start)
     edge_ids.extend(plateau.edge_ids)
     edge_ids.extend(backward_tree.edge_ids_to_root(plateau.end))
     if not edge_ids:
         raise ConfigurationError(
             "degenerate plateau at the source/target produced an empty route"
         )
-    return Path.from_edges(network, edge_ids)
+    return Path.from_edges(network, edge_ids, weights)
 
 
 class PlateauPlanner(AlternativeRoutePlanner):

@@ -280,9 +280,9 @@ register_planner(
         "traffic_seed": 0,
     },
     description="simulated commercial engine on private 3 am traffic",
-    # Plans on private traffic weights, so its searches never leave
-    # the reference kernel and the shared default-weight trees are
-    # useless to it.
+    # Plans on private traffic weights: its two trees run on the plain
+    # Dijkstra kernel (CSR when attached, never ALT or CH), and the
+    # shared default-weight trees are useless to it.
     capabilities={"point_to_point_backend": "dijkstra"},
 )
 register_planner(
@@ -317,8 +317,13 @@ register_planner(
         "penalty_factor": DEFAULT_PENALTY_FACTOR,
     },
     description="iterative edge penalisation (§2.1)",
-    # Searches penalised weight vectors; reference kernel only.
-    capabilities={"point_to_point_backend": "dijkstra"},
+    # Its first, unpenalised search is the shared forward tree's path;
+    # the penalised re-searches run on the plain Dijkstra kernel (CSR
+    # when attached, never ALT or CH, which price default weights only).
+    capabilities={
+        "supports_context": True,
+        "point_to_point_backend": "dijkstra",
+    },
 )
 
 # §2.4 baselines, so benchmarks and the CLI reach them the same way.

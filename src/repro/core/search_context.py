@@ -7,6 +7,8 @@ and backward tree to ``t`` on the network's display weights.  A
 :class:`SearchContext` is the per-(source, target) home for that state:
 it lazily computes and memoizes both trees, so whichever planner needs
 a tree first pays for it and every later planner gets it for free.
+Penalty reads the forward tree too: its first search runs on
+unpenalised weights, so its path is that tree's path to the target.
 
 Three access patterns layer on top of one primitive:
 
@@ -25,8 +27,8 @@ Three access patterns layer on top of one primitive:
 
 Thread safety: a tree cell is built at most once, under its own lock,
 and is immutable afterwards — safe to share across the service's pool
-threads.  Construction is deadline-aware for free: the underlying
-:func:`~repro.algorithms.dijkstra.dijkstra` honours the ambient
+threads.  Construction is deadline-aware for free: both kernels behind
+:func:`~repro.algorithms.dijkstra.kernel_dijkstra` honour the ambient
 :class:`~repro.cancellation.Deadline`, and a build that raises
 :class:`~repro.exceptions.PlanningTimeout` caches nothing, so the next
 caller (with a fresher deadline) retries cleanly.
@@ -45,7 +47,7 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional, Sequence
 
-from repro.algorithms.dijkstra import dijkstra
+from repro.algorithms.dijkstra import kernel_dijkstra
 from repro.algorithms.sp_tree import ShortestPathTree
 from repro.exceptions import ConfigurationError, DisconnectedError
 from repro.graph.network import RoadNetwork
@@ -62,24 +64,17 @@ def build_tree(
 ) -> ShortestPathTree:
     """One full shortest-path tree, on the fastest kernel available.
 
-    Default-weight builds on a network with an attached
-    :class:`~repro.graph.csr.CsrGraph` use the flat CSR kernel; the
-    result is identical to :func:`~repro.algorithms.dijkstra.dijkstra`
-    (same arc order, same tie-breaking), just faster.  Custom weight
-    vectors always use the reference kernel — the CSR weight arrays are
-    priced on default travel times only.
+    On a network with an attached :class:`~repro.graph.csr.CsrGraph`
+    the flat CSR kernel runs, for default and custom weight vectors
+    alike; the result is identical to
+    :func:`~repro.algorithms.dijkstra.dijkstra` (same arc order, same
+    tie-breaking), just faster.  See
+    :func:`~repro.algorithms.dijkstra.kernel_dijkstra`.
     """
     with phase("tree-build"):
-        if weights is None:
-            # Lazy import: repro.graph.csr imports algorithms.sp_tree;
-            # an import at module level here would be circular through
-            # repro.core.__init__.
-            from repro.graph.csr import attached_csr, csr_dijkstra
-
-            csr = attached_csr(network)
-            if csr is not None:
-                return csr_dijkstra(network, csr, root, forward=forward)
-        return dijkstra(network, root, weights=weights, forward=forward)
+        return kernel_dijkstra(
+            network, root, weights=weights, forward=forward
+        )
 
 
 class _TreeCell:
@@ -133,7 +128,7 @@ class SearchContext:
         Edge weight vector the trees are priced on; ``None`` uses the
         network's default travel times — the vector every
         tree-reusing study planner searches on.  Planners that optimise
-        a *different* vector (Penalty's penalised weights, the
+        a *different* vector (Penalty's penalised re-searches, the
         commercial engine's private traffic) must ignore the context.
     """
 

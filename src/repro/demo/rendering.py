@@ -39,9 +39,10 @@ def route_to_feature(
     ``properties`` keeps the full geometry either way, so downstream
     consumers can always recover it).
     """
-    coordinates = route.coordinates()
+    full = route.coordinates()
+    coordinates = full
     if simplify_tolerance_m is not None:
-        coordinates = simplify_polyline(coordinates, simplify_tolerance_m)
+        coordinates = simplify_polyline(full, simplify_tolerance_m)
     return {
         "type": "Feature",
         "geometry": {
@@ -54,7 +55,7 @@ def route_to_feature(
             "rank": rank,
             "travel_time_min": display_minutes,
             "length_m": round(route.length_m, 1),
-            "polyline": route_to_polyline(route),
+            "polyline": encode_polyline(full),
         },
     }
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from repro.exceptions import GraphError
+from repro.exceptions import EdgeNotFoundError, GraphError
 from repro.graph.network import RoadNetwork
 
 
@@ -41,6 +41,9 @@ class Path:
                 f"path with {len(self.nodes)} nodes must have "
                 f"{len(self.nodes) - 1} edges, got {len(self.edge_ids)}"
             )
+        # Every traversed id is valid, so the metrics below (and in
+        # repro.metrics) may index ``network._edges`` directly.
+        _check_edge_ids(self.edge_ids, self.network.num_edges)
 
     # -- constructors -------------------------------------------------------
 
@@ -77,15 +80,21 @@ class Path:
         if not edge_ids:
             raise GraphError("a path needs at least one edge")
         w = network.default_weights() if weights is None else weights
-        nodes: List[int] = [network.edge(edge_ids[0]).u]
+        edges = network._edges
+        # Callers pass arbitrary ids, and a negative one would silently
+        # index from the end: bounds-check them all before indexing.
+        _check_edge_ids(edge_ids, len(edges))
+        node = edges[edge_ids[0]].u
+        nodes: List[int] = [node]
         total = 0.0
         for edge_id in edge_ids:
-            edge = network.edge(edge_id)
-            if edge.u != nodes[-1]:
+            edge = edges[edge_id]
+            if edge.u != node:
                 raise GraphError(
-                    f"edge {edge_id} starts at {edge.u}, expected {nodes[-1]}"
+                    f"edge {edge_id} starts at {edge.u}, expected {node}"
                 )
-            nodes.append(edge.v)
+            node = edge.v
+            nodes.append(node)
             total += w[edge_id]
         return cls(
             network=network,
@@ -109,9 +118,8 @@ class Path:
     @cached_property
     def length_m(self) -> float:
         """Geometric length of the path in metres."""
-        return sum(
-            self.network.edge(edge_id).length_m for edge_id in self.edge_ids
-        )
+        edges = self.network._edges  # ids are checked at construction
+        return sum([edges[edge_id].length_m for edge_id in self.edge_ids])
 
     @cached_property
     def edge_id_set(self) -> frozenset[int]:
@@ -205,4 +213,12 @@ class Path:
         return (
             f"Path({self.source}->{self.target}, hops={len(self.edge_ids)}, "
             f"time={self.travel_time_s:.1f}s, length={self.length_m:.0f}m)"
+        )
+
+
+def _check_edge_ids(edge_ids: Sequence[int], num_edges: int) -> None:
+    """Raise :class:`EdgeNotFoundError` for the first id out of range."""
+    if edge_ids and (min(edge_ids) < 0 or max(edge_ids) >= num_edges):
+        raise EdgeNotFoundError(
+            next(e for e in edge_ids if not 0 <= e < num_edges)
         )

@@ -33,8 +33,8 @@ def shared_length_m(path_a: Path, path_b: Path) -> float:
     an edge the other path uses shares no length through it.
     """
     shared_ids = path_a.edge_id_set & path_b.edge_id_set
-    network = path_a.network
-    return sum(network.edge(edge_id).length_m for edge_id in shared_ids)
+    edges = path_a.network._edges  # a Path's ids are checked on creation
+    return sum([edges[edge_id].length_m for edge_id in shared_ids])
 
 
 def similarity(path_a: Path, path_b: Path) -> float:

@@ -79,8 +79,9 @@ def road_width_score(path: Path) -> float:
     """
     total_len = 0.0
     weighted = 0.0
+    edges = path.network._edges  # a Path's ids are checked on creation
     for edge_id in path.edge_ids:
-        edge = path.network.edge(edge_id)
+        edge = edges[edge_id]
         total_len += edge.length_m
         weighted += edge.length_m * edge.lanes
     if total_len <= 0:

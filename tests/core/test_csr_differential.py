@@ -18,6 +18,7 @@ shortest-path cost.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.cities import CITY_BUILDERS
 from repro.core.alt import alt_shortest_path_nodes, ensure_landmarks
 from repro.core.registry import available_planners, make_planner
 from repro.graph.csr import attached_csr, csr_dijkstra, detach_csr, ensure_csr
+from repro.serving import RouteQuery, RouteService
 
 PAIRS_PER_CITY = 3
 
@@ -130,3 +132,35 @@ class TestKernelsIdentical:
                 assert cost == pytest.approx(expected, abs=_EPS)
         finally:
             detach_csr(network)
+
+
+class TestStudyPathStaysOnCsrKernel:
+    def test_served_query_never_runs_the_pure_kernel(self, city, monkeypatch):
+        """With a CSR view attached, a served query of the four study
+        approaches runs every search on the CSR kernel — the commercial
+        engine's private-weight trees and Penalty's penalised searches
+        included; the pure :func:`dijkstra` is never called."""
+        _, network, pairs = city
+        source, target = (network.node(node) for node in pairs[0])
+        ensure_csr(network)
+        service = RouteService.from_network(network)
+        try:
+            def forbidden(*args, **kwargs):
+                raise AssertionError(
+                    "pure dijkstra() ran with a CSR view attached"
+                )
+
+            for name, module in list(sys.modules.items()):
+                if (
+                    name.startswith("repro")
+                    and getattr(module, "dijkstra", None) is dijkstra
+                ):
+                    monkeypatch.setattr(module, "dijkstra", forbidden)
+            result = service.query(
+                RouteQuery(source.lat, source.lon, target.lat, target.lon)
+            )
+        finally:
+            service.close()
+            detach_csr(network)
+        assert result.errors == {}
+        assert sorted(result.route_sets) == ["A", "B", "C", "D"]

@@ -1,12 +1,17 @@
 """Tests for the Dissimilarity / SSVP-D+ planner (paper §2.3)."""
 
+import random
+
 import pytest
 
 from repro.algorithms import shortest_path
+from repro.algorithms.dijkstra import dijkstra
+from repro.cities import CITY_BUILDERS
 from repro.core import DissimilarityPlanner
 from repro.exceptions import ConfigurationError, DisconnectedError
 from repro.graph.builder import RoadNetworkBuilder
-from repro.metrics.similarity import dissimilarity
+from repro.graph.path import Path
+from repro.metrics.similarity import dissimilarity, dissimilarity_to_set
 
 
 class TestConfiguration:
@@ -83,3 +88,97 @@ class TestPlanning:
         builder.add_edge(2, 3, 100.0, 1.0, bidirectional=True)
         with pytest.raises(DisconnectedError):
             DissimilarityPlanner(builder.build()).plan(0, 3)
+
+
+def _reference_plan(network, source, target, k=3, theta=0.5,
+                    stretch_bound=1.4):
+    """SSVP-D+ spelled out: build every via-path, dedupe on its edge set.
+
+    Returns the admitted paths and the planner's four candidate
+    counters, computed the slow, obvious way.
+    """
+    forward = dijkstra(network, source)
+    backward = dijkstra(network, target, forward=False)
+    limit = (
+        float("inf") if stretch_bound is None
+        else stretch_bound * forward.distance(target) + 1e-9
+    )
+    candidates = sorted(
+        (forward.distance(v) + backward.distance(v), v)
+        for v in range(network.num_nodes)
+        if forward.distance(v) + backward.distance(v) <= limit
+    )
+    counters = dict.fromkeys(
+        ("candidates_generated", "candidates_accepted",
+         "candidates_pruned", "dissimilarity_evaluations"), 0
+    )
+    selected, seen = [], set()
+    for _, via in candidates:
+        if not (forward.reachable(via) and backward.reachable(via)):
+            continue
+        path = Path.from_edges(
+            network,
+            forward.edge_ids_to_root(via) + backward.edge_ids_to_root(via),
+        )
+        counters["candidates_generated"] += 1
+        if path.edge_id_set in seen:
+            counters["candidates_pruned"] += 1
+            continue
+        seen.add(path.edge_id_set)
+        if not path.is_simple():
+            counters["candidates_pruned"] += 1
+            continue
+        counters["dissimilarity_evaluations"] += len(selected)
+        if dissimilarity_to_set(path, selected) > theta:
+            counters["candidates_accepted"] += 1
+            selected.append(path)
+            if len(selected) >= k:
+                break
+        else:
+            counters["candidates_pruned"] += 1
+    return selected, counters
+
+
+def _seeded_pairs(network, count=4):
+    rng = random.Random(f"dissimilarity-reference:{network.name}")
+    pairs = []
+    while len(pairs) < count:
+        source = rng.randrange(network.num_nodes)
+        target = rng.randrange(network.num_nodes)
+        if source != target and dijkstra(
+            network, source, target=target
+        ).reachable(target):
+            pairs.append((source, target))
+    return pairs
+
+
+class TestMatchesReferenceLoop:
+    """The planner skips walks and Path objects for via-paths it has
+    already seen; that must be exact, counters included."""
+
+    def _assert_matches(self, network, source, target, **params):
+        expected, counters = _reference_plan(network, source, target,
+                                             **params)
+        route_set = DissimilarityPlanner(network, **params).plan(
+            source, target
+        )
+        assert [route.edge_ids for route in route_set] == [
+            route.edge_ids for route in expected
+        ]
+        assert [route.travel_time_s for route in route_set] == [
+            route.travel_time_s for route in expected
+        ]
+        stats = route_set.stats
+        assert {name: getattr(stats, name) for name in counters} == counters
+
+    @pytest.mark.parametrize("city", sorted(CITY_BUILDERS))
+    def test_study_cities(self, city):
+        network = CITY_BUILDERS[city](size="small", seed=0)
+        for source, target in _seeded_pairs(network):
+            self._assert_matches(network, source, target)
+
+    def test_unbounded_stretch(self, grid10):
+        for source, target in _seeded_pairs(grid10, count=3):
+            self._assert_matches(
+                grid10, source, target, k=5, theta=0.2, stretch_bound=None
+            )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.algorithms import shortest_path
 from repro.core import PenaltyPlanner
+from repro.core.search_context import SearchContext
 from repro.exceptions import ConfigurationError, DisconnectedError
 from repro.graph.builder import RoadNetworkBuilder
 from repro.metrics.similarity import similarity
@@ -99,6 +100,33 @@ class TestPlanning:
         builder.add_edge(1, 2, 100.0, 1.0, bidirectional=True)
         rs = PenaltyPlanner(builder.build(), k=3).plan(0, 2)
         assert len(rs) == 1
+
+
+class TestSharedContext:
+    @pytest.mark.parametrize("network_name", ["melbourne_small", "diamond"])
+    def test_first_search_reuses_the_forward_tree(
+        self, request, network_name
+    ):
+        """Iteration 0 takes the context's forward tree path instead of
+        searching; the routes stay exactly those of a context-free plan
+        (the diamond's two equal-cost braids pin the tie-break)."""
+        network = request.getfixturevalue(network_name)
+        source, target = (0, 5) if network_name == "diamond" else (
+            0, network.num_nodes - 1
+        )
+        planner = PenaltyPlanner(network, k=3)
+        plain = planner.plan(source, target)
+        context = SearchContext(network, source, target)
+        context.forward_tree()
+        shared = planner.plan(source, target, context=context)
+        assert [route.edge_ids for route in shared] == [
+            route.edge_ids for route in plain
+        ]
+        assert [route.travel_time_s for route in shared] == [
+            route.travel_time_s for route in plain
+        ]
+        assert shared.stats.context_tree_hits == 1
+        assert shared.stats.nodes_expanded < plain.stats.nodes_expanded
 
 
 class TestTurnAwarePenalty:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import GraphError
+from repro.exceptions import EdgeNotFoundError, GraphError
 from repro.graph.path import Path
 
 
@@ -37,6 +37,28 @@ class TestConstruction:
     def test_from_edges_empty_rejected(self, grid10):
         with pytest.raises(GraphError):
             Path.from_edges(grid10, [])
+
+    @pytest.mark.parametrize("bad", [-1, -2])
+    def test_from_edges_negative_id_rejected(self, grid10, bad):
+        # _edges[-1] would silently be the network's last edge.
+        with pytest.raises(EdgeNotFoundError):
+            Path.from_edges(grid10, [bad])
+        last = grid10.edge(grid10.num_edges + bad)
+        into_last = grid10.in_edge_ids(last.u)[0]
+        with pytest.raises(EdgeNotFoundError):
+            Path.from_edges(grid10, [into_last, bad])
+
+    @pytest.mark.parametrize("offset", [0, 1, 1000])
+    def test_from_edges_id_past_the_end_rejected(self, grid10, offset):
+        with pytest.raises(EdgeNotFoundError):
+            Path.from_edges(grid10, [grid10.num_edges + offset])
+        with pytest.raises(EdgeNotFoundError):
+            Path.from_edges(grid10, [0, grid10.num_edges + offset])
+
+    def test_direct_construction_checks_edge_ids(self, grid10):
+        with pytest.raises(EdgeNotFoundError):
+            Path(network=grid10, nodes=(0, 1), edge_ids=(-1,),
+                 travel_time_s=0.0)
 
     def test_single_node_walk_rejected(self, grid10):
         with pytest.raises(GraphError):
