@@ -25,15 +25,19 @@ import time
 
 import pytest
 
-from repro.algorithms.dijkstra import dijkstra, shortest_path_nodes
+from repro.algorithms.dijkstra import (
+    dijkstra,
+    shortest_path_nodes,
+    unwind_nodes,
+)
 from repro.cities import CITY_BUILDERS
 from repro.core.alt import ensure_landmarks
 from repro.core.backend import backend_scope
 from repro.core.ch import attached_hierarchy, build_hierarchy, ensure_hierarchy
 from repro.core.registry import make_planner
-from repro.graph.csr import detach_csr, ensure_csr, load_snapshot, save_snapshot
+from repro.graph.csr import load_snapshot, save_snapshot
 
-from conftest import CITY, SEED, SIZE, write_artifact
+from conftest import CITY, SEED, SIZE, drop_accelerators, write_artifact
 from telemetry import BenchTelemetry
 
 #: Landmark count matching bench_csr's ALT baseline configuration.
@@ -103,7 +107,7 @@ def test_ch_routes_identical_to_dijkstra(network, pairs):
         with backend_scope("ch"):
             hierarchical = shortest_path_nodes(network, s, t)
         assert hierarchical == reference, (s, t)
-    detach_csr(network)
+    drop_accelerators(network)
 
 
 def test_bench_ch_point_to_point(network, pairs):
@@ -112,11 +116,14 @@ def test_bench_ch_point_to_point(network, pairs):
         for s, t in pairs:
             shortest_path_nodes(network, s, t)
 
-    detach_csr(network)
-    all_pairs()  # warm the pure path before timing
-    pure_s = _best_of(all_pairs)
+    def pure_pairs():
+        for s, t in pairs:
+            unwind_nodes(network, dijkstra(network, s, target=t), s, t)
 
-    ensure_csr(network)
+    drop_accelerators(network)
+    pure_pairs()  # warm the pure reference kernel before timing
+    pure_s = _best_of(pure_pairs)
+
     ensure_landmarks(network, count=NUM_LANDMARKS)
     with backend_scope("alt"):
         all_pairs()
@@ -128,7 +135,7 @@ def test_bench_ch_point_to_point(network, pairs):
     with backend_scope("ch"):
         all_pairs()
         ch_s = _best_of(all_pairs)
-    detach_csr(network)
+    drop_accelerators(network)
 
     assert ch_s < alt_s, (
         f"CH point-to-point took {ch_s * 1000:.1f} ms vs ALT's "
@@ -179,8 +186,7 @@ def test_bench_ch_alternatives(network, pairs):
     """Claim 3: CH-via-node alternatives >= 10x faster than the ALT
     via-node baseline at the pinned scale."""
     alt_pairs = pairs[:NUM_ALT_PAIRS]
-    detach_csr(network)
-    ensure_csr(network)
+    drop_accelerators(network)
     ensure_landmarks(network, count=NUM_LANDMARKS)
     baseline = make_planner("ViaNode", network)
     for s, t in alt_pairs:  # warm before timing, as bench_csr does
@@ -195,7 +201,7 @@ def test_bench_ch_alternatives(network, pairs):
         via_ch.plan(s, t)
     ch_routes = [len(via_ch.plan(s, t)) for s, t in alt_pairs]
     ch_s = _best_of(lambda: [via_ch.plan(s, t) for s, t in alt_pairs])
-    detach_csr(network)
+    drop_accelerators(network)
 
     assert all(count >= 1 for count in ch_routes)
     speedup = baseline_s / ch_s
@@ -244,7 +250,7 @@ def test_bench_ch_alternatives(network, pairs):
 
 def test_bench_snapshot_with_ch(network):
     """Claim 4: --with-ch snapshots restore faster than re-contracting."""
-    detach_csr(network)
+    drop_accelerators(network)
     contraction_started = time.perf_counter()
     hierarchy = ensure_hierarchy(network)
     contraction_s = time.perf_counter() - contraction_started
@@ -253,7 +259,7 @@ def test_bench_snapshot_with_ch(network):
     started = time.perf_counter()
     save_snapshot(network, buffer)
     save_s = time.perf_counter() - started
-    detach_csr(network)
+    drop_accelerators(network)
 
     buffer.seek(0)
     started = time.perf_counter()

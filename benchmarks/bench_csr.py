@@ -3,18 +3,18 @@
 Four claims, each pinned by an assertion so a regression fails the
 bench rather than silently shipping a slower kernel:
 
-1. route sets are identical with and without the CSR/ALT acceleration
+1. route sets are identical with and without the ALT landmark table
    attached, for every registered planner;
 2. the ALT goal-directed kernel expands at least 2x fewer nodes than
    plain bidirectional search (and than plain Dijkstra) on the study
    city's point-to-point queries;
 3. accelerated point-to-point queries are wall-clock faster than the
-   pure-Python Dijkstra entry point;
+   pure-Python reference Dijkstra;
 4. the binary snapshot round-trips the network losslessly and loads
    faster than the JSON path.
 
 The artifact (``bench_csr.txt``) and a snapshot of the bench network
-(``<city>_<size>.snap``) land in ``benchmarks/output/``.
+(``<city>_<size>.snap``, untracked) land in ``benchmarks/output/``.
 """
 
 import io
@@ -25,13 +25,16 @@ import time
 import pytest
 
 from repro.algorithms.bidirectional import bidirectional_dijkstra
-from repro.algorithms.dijkstra import dijkstra, shortest_path_nodes
+from repro.algorithms.dijkstra import (
+    dijkstra,
+    shortest_path_nodes,
+    unwind_nodes,
+)
 from repro.cities import CITY_BUILDERS
 from repro.core.alt import ensure_landmarks
 from repro.core.registry import available_planners, make_planner
 from repro.graph.csr import (
     csr_dijkstra,
-    detach_csr,
     ensure_csr,
     load_snapshot,
     save_snapshot,
@@ -39,7 +42,14 @@ from repro.graph.csr import (
 from repro.graph.serialize import network_from_dict, network_to_dict
 from repro.observability.search import collect_search_stats
 
-from conftest import CITY, OUTPUT_DIR, SEED, SIZE, write_artifact
+from conftest import (
+    CITY,
+    OUTPUT_DIR,
+    SEED,
+    SIZE,
+    drop_accelerators,
+    write_artifact,
+)
 from telemetry import BenchTelemetry
 
 #: Landmarks for the bench: the paper-scale networks justify a bigger
@@ -87,8 +97,9 @@ def _with_csr(network):
 
 
 def test_route_sets_identical_across_kernels(network, pairs):
-    """Every registered planner returns the same routes either way."""
-    detach_csr(network)
+    """Every registered planner returns the same routes with and
+    without the ALT landmark table."""
+    drop_accelerators(network)
     plain = {}
     for name in available_planners():
         planner = make_planner(name, network)
@@ -104,12 +115,12 @@ def test_route_sets_identical_across_kernels(network, pairs):
             for route in planner.plan(s, t)
         ]
         assert accelerated == plain[name], name
-    detach_csr(network)
+    drop_accelerators(network)
 
 
 def test_bench_alt_expansions(network, pairs):
     """ALT expands >= 2x fewer nodes than bidirectional (and Dijkstra)."""
-    detach_csr(network)
+    drop_accelerators(network)
     dijkstra_expanded = 0
     bidirectional_expanded = 0
     for s, t in pairs:
@@ -127,7 +138,7 @@ def test_bench_alt_expansions(network, pairs):
             shortest_path_nodes(network, s, t)
         alt_expanded += stats.nodes_expanded
         alt_pruned += stats.heuristic_prunes
-    detach_csr(network)
+    drop_accelerators(network)
     assert alt_expanded * 2 <= bidirectional_expanded, (
         f"ALT expanded {alt_expanded} nodes vs bidirectional's "
         f"{bidirectional_expanded}; want at least a 2x reduction"
@@ -173,12 +184,12 @@ def test_bench_alt_expansions(network, pairs):
 
 def test_bench_point_to_point_wall_clock(network, pairs):
     """Accelerated s-t queries beat the pure kernel on wall clock."""
-    detach_csr(network)
+    drop_accelerators(network)
     for s, t in pairs:  # warm both code paths before timing
-        shortest_path_nodes(network, s, t)
+        unwind_nodes(network, dijkstra(network, s, target=t), s, t)
     started = time.perf_counter()
     for s, t in pairs:
-        shortest_path_nodes(network, s, t)
+        unwind_nodes(network, dijkstra(network, s, target=t), s, t)
     pure_s = time.perf_counter() - started
     csr = _with_csr(network)
     for s, t in pairs:
@@ -199,7 +210,7 @@ def test_bench_point_to_point_wall_clock(network, pairs):
     for s, _t in pairs[:10]:
         csr_dijkstra(network, csr, s)
     tree_csr_s = time.perf_counter() - started
-    detach_csr(network)
+    drop_accelerators(network)
     assert alt_s < pure_s, (
         f"ALT point-to-point took {alt_s * 1000:.1f} ms vs the pure "
         f"kernel's {pure_s * 1000:.1f} ms; the acceleration must win"

@@ -26,6 +26,16 @@ SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 OUTPUT_DIR = Path(__file__).parent / "output"
 
 
+def drop_accelerators(network) -> None:
+    """Detach the landmark table and contraction hierarchy riding on the
+    network's CSR view, so the next measurement starts from plain CSR."""
+    from repro.graph.csr import ensure_csr
+
+    csr = ensure_csr(network)
+    csr.landmarks = None
+    csr.hierarchy = None
+
+
 def write_artifact(name: str, text: str) -> None:
     """Persist a regenerated table/figure for the experiment log."""
     OUTPUT_DIR.mkdir(exist_ok=True)

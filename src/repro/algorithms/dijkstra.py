@@ -1,11 +1,16 @@
 """Binary-heap Dijkstra over :class:`~repro.graph.network.RoadNetwork`.
 
-One implementation serves every caller: it can run forward or backward,
-stop early at a target, stop at a cost bound, and accept an arbitrary
-edge-weight vector.  That last point is the backbone of the whole
-library — the Penalty planner, the traffic model and the simulated
-commercial engine all express themselves as alternative weight vectors
-over an immutable network.
+A search can run forward or backward, stop early at a target, stop at
+a cost bound, and accept an arbitrary edge-weight vector.  That last
+point is the backbone of the whole library — the Penalty planner, the
+traffic model and the simulated commercial engine all express
+themselves as alternative weight vectors over an immutable network.
+
+Every search in the library goes through :func:`kernel_dijkstra` (or
+the point-to-point dispatch :func:`shortest_path_nodes`), which runs the
+flat CSR kernel :func:`repro.graph.csr.csr_dijkstra`.  :func:`dijkstra`
+here is the pure-Python reference that kernel is proven identical to:
+the differential and fuzz tiers call it directly.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ def dijkstra(
     max_dist: float = math.inf,
 ) -> ShortestPathTree:
     """Run Dijkstra from ``root`` and return the shortest-path tree.
+
+    The pure-Python reference kernel; library code searches through
+    :func:`kernel_dijkstra` instead.
 
     Parameters
     ----------
@@ -146,9 +154,8 @@ def shortest_path_nodes(
     picks the fastest structure attached to the network, which is
     exactly the pre-backend behaviour.  Custom weight vectors (Penalty's
     penalised searches) skip the backend dispatch, since ALT and CH are
-    priced on default travel times only, and run on the CSR kernel when
-    a view is attached, on :func:`dijkstra` otherwise — see
-    :func:`kernel_dijkstra`.
+    priced on default travel times only, and run on the CSR kernel —
+    see :func:`kernel_dijkstra`.
 
     The backend that answered is counted in the ambient
     :class:`~repro.observability.search.SearchStats`
@@ -162,7 +169,7 @@ def shortest_path_nodes(
         # Lazy imports: repro.graph.csr imports algorithms.sp_tree, so
         # module-level imports here would be circular.
         from repro.core.backend import active_backend, resolve_backend
-        from repro.graph.csr import attached_csr
+        from repro.graph.csr import ensure_csr
 
         backend = resolve_backend(network, active_backend())
         stats = active_search_stats()
@@ -179,8 +186,9 @@ def shortest_path_nodes(
 
             if stats is not None:
                 stats.backend_alt += 1
-            csr = attached_csr(network)
-            return alt_shortest_path_nodes(network, csr, source, target)
+            return alt_shortest_path_nodes(
+                network, ensure_csr(network), source, target
+            )
         if stats is not None:
             stats.backend_dijkstra += 1
     tree = kernel_dijkstra(network, source, weights=weights, target=target)
@@ -193,27 +201,21 @@ def kernel_dijkstra(
     weights: Optional[Sequence[float]] = None,
     forward: bool = True,
     target: Optional[int] = None,
+    max_dist: float = math.inf,
 ) -> ShortestPathTree:
-    """:func:`dijkstra` on the fastest kernel available.
+    """:func:`dijkstra` on the network's CSR view, for any weight vector.
 
-    With a :class:`~repro.graph.csr.CsrGraph` attached the flat CSR
-    kernel runs — for any weight vector, since its arcs relax in the
-    pure kernel's order and its trees are identical value for value;
-    without one, :func:`dijkstra` itself, the reference the
-    differential tiers compare against.
+    Same arguments and the same tree, value for value: the CSR arcs
+    relax in the pure kernel's order.  The view is built on first use
+    (see :func:`~repro.graph.csr.ensure_csr`).
     """
     # Lazy import: repro.graph.csr imports algorithms.sp_tree, so a
     # module-level import here would be circular.
-    from repro.graph.csr import attached_csr, csr_dijkstra
+    from repro.graph.csr import csr_dijkstra, ensure_csr
 
-    csr = attached_csr(network)
-    if csr is not None:
-        return csr_dijkstra(
-            network, csr, root, weights=weights, forward=forward,
-            target=target,
-        )
-    return dijkstra(
-        network, root, weights=weights, forward=forward, target=target
+    return csr_dijkstra(
+        network, ensure_csr(network), root, weights=weights,
+        forward=forward, target=target, max_dist=max_dist,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.algorithms.dijkstra import dijkstra
+from repro.algorithms.dijkstra import kernel_dijkstra
 from repro.graph.network import RoadNetwork
 
 LatLon = Tuple[float, float]
@@ -104,7 +104,7 @@ def isochrone(
     """
     if budget_s <= 0:
         raise ConfigurationError("budget_s must be positive")
-    tree = dijkstra(network, source, weights=weights, max_dist=budget_s)
+    tree = kernel_dijkstra(network, source, weights=weights, max_dist=budget_s)
     reachable: List[int] = []
     costs: List[float] = []
     for node_id in range(network.num_nodes):

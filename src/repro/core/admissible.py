@@ -27,7 +27,7 @@ import math
 from typing import List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, DisconnectedError
-from repro.algorithms.dijkstra import dijkstra
+from repro.algorithms.dijkstra import kernel_dijkstra
 from repro.core.base import DEFAULT_K, AlternativeRoutePlanner
 from repro.graph.network import RoadNetwork
 from repro.graph.path import Path
@@ -74,8 +74,8 @@ class AdmissibleAlternativesPlanner(AlternativeRoutePlanner):
         self.alpha = alpha
 
     def _plan_routes(self, source: int, target: int) -> List[Path]:
-        forward_tree = dijkstra(self.network, source, forward=True)
-        backward_tree = dijkstra(self.network, target, forward=False)
+        forward_tree = kernel_dijkstra(self.network, source, forward=True)
+        backward_tree = kernel_dijkstra(self.network, target, forward=False)
         if not forward_tree.reachable(target):
             raise DisconnectedError(source, target)
         optimal_time = forward_tree.distance(target)

@@ -19,10 +19,9 @@ default-weight queries — planners that search a different vector
 keep using the exact CSR Dijkstra kernel, whose results are
 byte-identical to the pure kernel.
 
-The table rides on the CSR view (``csr.landmarks``), so
-:func:`~repro.graph.csr.detach_csr` drops both together and a network
-without the precomputation behaves exactly as before this layer
-existed.  Build one explicitly with :func:`ensure_landmarks` (the
+The table rides on the CSR view (``csr.landmarks``); a network without
+the precomputation behaves exactly as before this layer existed.
+Build one explicitly with :func:`ensure_landmarks` (the
 ``precompute_landmarks`` knob on ``RouteService``/``QueryProcessor``
 and the ``repro snapshot`` CLI call it at startup).
 """

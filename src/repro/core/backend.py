@@ -1,11 +1,11 @@
 """Per-query point-to-point backend selection.
 
 The serving hot path can answer a default-weight shortest-path query
-three ways: plain Dijkstra (the reference kernel, or its byte-identical
-CSR twin), goal-directed ALT over an attached landmark table, or a
-bidirectional contraction-hierarchy search over an attached
-:class:`~repro.core.ch.CchBackend`.  This module is the tiny API that
-names those choices and resolves them per query:
+three ways: plain Dijkstra on the CSR kernel, goal-directed ALT over an
+attached landmark table, or a bidirectional contraction-hierarchy
+search over an attached :class:`~repro.core.ch.CchBackend`.  This
+module is the tiny API that names those choices and resolves them per
+query:
 
 * ``"auto"`` — the fastest structure attached to the network wins
   (CH over ALT over Dijkstra), which is what every caller got
@@ -76,19 +76,17 @@ def resolve_backend(network, requested: str = "auto") -> str:
     """
     validate_backend(requested)
     # Lazy import: repro.graph.csr must stay importable without core.
-    from repro.graph.csr import attached_csr
+    from repro.graph.csr import ensure_csr
 
-    csr = attached_csr(network)
+    csr = ensure_csr(network)
     if requested == "auto":
-        if csr is None:
-            return "dijkstra"
         if csr.hierarchy is not None:
             return "ch"
         if csr.landmarks is not None:
             return "alt"
         return "dijkstra"
     if requested == "ch":
-        if csr is None or csr.hierarchy is None:
+        if csr.hierarchy is None:
             raise ConfigurationError(
                 "backend 'ch' requested but no contraction hierarchy is "
                 "attached; call repro.core.ch.ensure_hierarchy(network) "
@@ -96,7 +94,7 @@ def resolve_backend(network, requested: str = "auto") -> str:
             )
         return "ch"
     if requested == "alt":
-        if csr is None or csr.landmarks is None:
+        if csr.landmarks is None:
             raise ConfigurationError(
                 "backend 'alt' requested but no landmark table is "
                 "attached; call repro.core.alt.ensure_landmarks(network) "

@@ -22,9 +22,8 @@ Three query surfaces:
 
 The backend rides on the network's CSR view (``csr.hierarchy``), the
 same attachment discipline as the ALT landmark table: build one with
-:func:`ensure_hierarchy`, look without building via
-:func:`attached_hierarchy`, and :func:`~repro.graph.csr.detach_csr`
-drops it together with the view.  Like the landmark table it is priced
+:func:`ensure_hierarchy` and look without building via
+:func:`attached_hierarchy`.  Like the landmark table it is priced
 on the network's default travel times only — planners searching other
 weight vectors never dispatch here.
 """
@@ -39,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.algorithms.contraction import _ORIGINAL, ContractionHierarchy
 from repro.cancellation import DEADLINE_CHECK_MASK, active_deadline
 from repro.exceptions import ConfigurationError, DisconnectedError
-from repro.graph.csr import CsrGraph, attached_csr, ensure_csr
+from repro.graph.csr import CsrGraph, ensure_csr
 from repro.graph.network import RoadNetwork
 from repro.observability.profiling import phase
 from repro.graph.path import Path
@@ -520,7 +519,7 @@ def ensure_hierarchy(
     """The network's CH backend, building and attaching on first call.
 
     Rides on the CSR view (``csr.hierarchy``), like the ALT landmark
-    table; :func:`~repro.graph.csr.detach_csr` drops both together.
+    table.
     """
     csr: CsrGraph = ensure_csr(network)
     backend = csr.hierarchy
@@ -531,6 +530,5 @@ def ensure_hierarchy(
 
 
 def attached_hierarchy(network: RoadNetwork) -> Optional[CchBackend]:
-    """The cached CH backend, or None — never triggers preprocessing."""
-    csr = attached_csr(network)
-    return csr.hierarchy if csr is not None else None
+    """The attached CH backend, or None — never triggers preprocessing."""
+    return ensure_csr(network).hierarchy

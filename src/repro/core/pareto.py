@@ -14,7 +14,7 @@ import heapq
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, DisconnectedError
-from repro.algorithms.dijkstra import dijkstra
+from repro.algorithms.dijkstra import kernel_dijkstra
 from repro.core.base import DEFAULT_K, AlternativeRoutePlanner
 from repro.graph.network import RoadNetwork
 from repro.graph.path import Path
@@ -56,7 +56,7 @@ class ParetoPlanner(AlternativeRoutePlanner):
     def _plan_routes(self, source: int, target: int) -> List[Path]:
         network = self.network
         weights = network.default_weights()
-        base_tree = dijkstra(network, source, target=target)
+        base_tree = kernel_dijkstra(network, source, target=target)
         if not base_tree.reachable(target):
             raise DisconnectedError(source, target)
         time_limit = self.stretch_bound * base_tree.distance(target) + 1e-9

@@ -27,8 +27,8 @@ Three access patterns layer on top of one primitive:
 
 Thread safety: a tree cell is built at most once, under its own lock,
 and is immutable afterwards — safe to share across the service's pool
-threads.  Construction is deadline-aware for free: both kernels behind
-:func:`~repro.algorithms.dijkstra.kernel_dijkstra` honour the ambient
+threads.  Construction is deadline-aware for free: the CSR kernel behind
+:func:`~repro.algorithms.dijkstra.kernel_dijkstra` honours the ambient
 :class:`~repro.cancellation.Deadline`, and a build that raises
 :class:`~repro.exceptions.PlanningTimeout` caches nothing, so the next
 caller (with a fresher deadline) retries cleanly.
@@ -62,11 +62,10 @@ def build_tree(
     weights: Optional[Sequence[float]] = None,
     forward: bool = True,
 ) -> ShortestPathTree:
-    """One full shortest-path tree, on the fastest kernel available.
+    """One full shortest-path tree on the network's CSR view.
 
-    On a network with an attached :class:`~repro.graph.csr.CsrGraph`
-    the flat CSR kernel runs, for default and custom weight vectors
-    alike; the result is identical to
+    For default and custom weight vectors alike; the result is
+    identical to the pure reference
     :func:`~repro.algorithms.dijkstra.dijkstra` (same arc order, same
     tie-breaking), just faster.  See
     :func:`~repro.algorithms.dijkstra.kernel_dijkstra`.

@@ -15,7 +15,6 @@ import math
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ConfigurationError, DisconnectedError
-from repro.algorithms.dijkstra import dijkstra
 from repro.cancellation import DEADLINE_CHECK_MASK, active_deadline
 from repro.core.base import DEFAULT_K, AlternativeRoutePlanner
 from repro.graph.network import RoadNetwork

@@ -563,15 +563,15 @@ class DemoServer:
         quarantined batches): serving stays up on the last good weight
         epoch, and ``traffic.weights_stale_seconds`` says how old that
         epoch is.  The ``network`` section doubles as loaded-snapshot
-        metadata: which accelerator structures (CSR view, ALT
-        landmarks, contraction hierarchy) are attached and servable
-        right now.
+        metadata: which accelerator structures (ALT landmarks,
+        contraction hierarchy) ride on the network's CSR view and are
+        servable right now.
         """
-        from repro.graph.csr import attached_csr
+        from repro.graph.csr import ensure_csr
 
         network = self.processor.network
         open_circuits = self.service.open_circuits()
-        csr = attached_csr(network)
+        csr = ensure_csr(network)
         uptime = round(time.monotonic() - self._started_monotonic, 3)
         live = getattr(self.service, "live", None)
         traffic = live.stats_payload() if live is not None else None
@@ -584,15 +584,12 @@ class DemoServer:
                 "name": network.name,
                 "nodes": network.num_nodes,
                 "edges": network.num_edges,
-                "csr_attached": csr is not None,
                 "landmarks": (
                     len(csr.landmarks.landmarks)
-                    if csr is not None and csr.landmarks is not None
+                    if csr.landmarks is not None
                     else 0
                 ),
-                "ch_attached": (
-                    csr is not None and csr.hierarchy is not None
-                ),
+                "ch_attached": csr.hierarchy is not None,
             },
             "planners": len(self.processor.planners),
             "cache_size": len(self.service.cache),

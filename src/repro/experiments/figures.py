@@ -102,11 +102,11 @@ def _long_query(network: RoadNetwork, seed: int) -> Tuple[int, int]:
     rng = random.Random(f"figure1:{seed}")
     best: Optional[Tuple[int, int]] = None
     best_time = -1.0
-    from repro.algorithms.dijkstra import dijkstra
+    from repro.algorithms.dijkstra import kernel_dijkstra
 
     for _ in range(8):
         source = rng.randrange(network.num_nodes)
-        tree = dijkstra(network, source)
+        tree = kernel_dijkstra(network, source)
         reachable = [
             (tree.distance(v), v)
             for v in range(network.num_nodes)

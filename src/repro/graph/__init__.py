@@ -14,9 +14,7 @@ CSR acceleration view plus binary snapshot format in
 from repro.graph.builder import RoadNetworkBuilder
 from repro.graph.csr import (
     CsrGraph,
-    attached_csr,
     csr_dijkstra,
-    detach_csr,
     ensure_csr,
     load_snapshot,
     save_snapshot,
@@ -42,9 +40,7 @@ __all__ = [
     "RoadNetworkBuilder",
     "SpatialIndex",
     "TurnRestrictionTable",
-    "attached_csr",
     "csr_dijkstra",
-    "detach_csr",
     "ensure_csr",
     "load_network_csv",
     "load_network_json",

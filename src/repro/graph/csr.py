@@ -1,72 +1,65 @@
 """Compressed-sparse-row view of :class:`RoadNetwork` + binary snapshots.
 
 Every planner ultimately bottlenecks on Dijkstra expansions over the
-network's list-of-lists adjacency.  :class:`CsrGraph` flattens that
-adjacency into ``array``-module offset/target/weight arrays — forward
-and backward — so the hot loop indexes contiguous C buffers instead of
-chasing ``Edge`` objects.  :func:`csr_dijkstra` is the kernel over that
-view: relaxation-for-relaxation identical to
+network's adjacency.  :class:`CsrGraph` flattens that adjacency into
+``array``-module offset/target/weight arrays — forward and backward —
+so the hot loop indexes contiguous C buffers instead of chasing
+``Edge`` objects.  :func:`csr_dijkstra` is the kernel over that view:
+relaxation-for-relaxation identical to the pure reference
 :func:`repro.algorithms.dijkstra.dijkstra` (same adjacency order, same
 strict comparisons, same heap discipline), so trees — distances *and*
 parent edges — are byte-identical between the two kernels.  The
 differential tier (``tests/core/test_csr_differential.py``) and the
 fuzz tier (``tests/test_properties_csr.py``) pin that equivalence.
 
-The view is built once and cached on the network
-(:func:`ensure_csr`); code that merely wants to *use* an existing view
-asks :func:`attached_csr`, which never builds.  The dispatch points —
-``search_context.trees_for_query``, ``SearchContext`` tree cells and
-the single-pair entry points in :mod:`repro.algorithms.dijkstra` — all
-fall back to the pure-Python kernel when nothing is attached, so
-behaviour without a CSR view is exactly the pre-CSR library.
+Every search in the library runs on this view, and :func:`ensure_csr`
+is the one way to reach it: it builds the view on first call (under a
+lock, so concurrent serving threads share one build), caches it on the
+network, and — with a customized live-traffic epoch pinned — returns
+that epoch's re-priced view instead.  The ALT landmark table and the
+contraction hierarchy ride on the view (``csr.landmarks`` /
+``csr.hierarchy``).
 
 Snapshots
 ---------
 :func:`save_snapshot`/:func:`load_snapshot` serialise a network to a
-compact little-endian binary format (magic ``RPRN``) that round-trips
-nodes, edges and all per-edge metadata far faster than the CSV/JSON
-paths: coordinates and weights are dumped as raw ``array`` buffers,
-and the highway/name strings go through a shared string table.
-Version 2 appends *tagged sections* after the core payload — a 4-byte
-tag plus a little-endian u64 length each — so optional attached
-structures travel inside the same artifact.  The one section so far,
-``CHI1``, persists the network's contraction hierarchy (rank array +
-augmented-graph arcs), letting ``repro snapshot build --with-ch``
-produce a servable artifact that :func:`load_snapshot` restores
-without re-contracting.  Readers skip unknown tags by length, so the
-section list is forward-extensible; version-1 files (no section
-block) still load.  Malformed files — bad magic, unsupported version,
-truncation inside the core payload or a section — raise
-:class:`~repro.exceptions.SnapshotError` instead of unpacking garbage.
-
-Version 3 is the *mmap-able* layout.  Instead of streaming the arrays
-inline, the file carries an **array directory** — fixed-width entries
-naming each array (``csr.fwd_tgt``, ``alt.from``, ``ch.wt``, ...)
-with its typecode, element count, absolute byte offset and byte
+compact little-endian binary format (magic ``RPRN``, version 3, the
+only version this build reads or writes).  After the header, the
+network name and a shared string table for the highway/name strings,
+the file carries an **array directory** — fixed-width entries naming
+each array (``edge.time``, ``csr.fwd_tgt``, ``alt.from``, ``ch.wt``,
+...) with its typecode, element count, absolute byte offset and byte
 length — and every array payload sits at a :data:`SECTION_ALIGNMENT`
--aligned offset.  That alignment is what lets
-:func:`map_snapshot` expose each array as a ``memoryview`` *cast
-directly over a read-only* ``mmap`` of the file: no bytes are copied,
-and every worker process mapping the same snapshot shares one set of
-physical pages (the kernel's page cache).  The CSR arrays always
-travel in a v3 file (built at save time if needed), and an attached
-ALT landmark table or contraction hierarchy rides along, so
-:meth:`CsrGraph.from_mmap` reassembles the whole accelerated view
-without copying any array.  :func:`load_snapshot` still reads v3
-files on the *copy path* (materialising ``array`` objects) — and v1/
-v2 files load exactly as before — so every existing caller keeps
-working.  Truncated, misaligned or otherwise corrupt directory
-entries raise :class:`~repro.exceptions.SnapshotError`, never a crash
-or silent garbage.
+-aligned offset.  That alignment is what lets :func:`map_snapshot`
+expose each array as a ``memoryview`` *cast directly over a read-only*
+``mmap`` of the file: no bytes are copied, and every worker process
+mapping the same snapshot shares one set of physical pages (the
+kernel's page cache).  The CSR arrays always travel in the file, and
+an attached ALT landmark table or contraction hierarchy (``repro
+snapshot build --with-ch``) rides along, so :meth:`CsrGraph.from_mmap`
+reassembles the whole accelerated view without copying any array.
+Readers ignore directory names they do not know, so the array list is
+forward-extensible.  :func:`load_snapshot` reads the same files on the
+*copy path*, materialising ``array`` objects (the only path on
+big-endian hosts).
+
+Malformed files — bad magic, another format version (older v1/v2
+files included: rebuild them with ``repro snapshot build``), truncated,
+misaligned or otherwise corrupt directory entries, and CSR arrays that
+are not exactly the view the edge arrays define — raise
+:class:`~repro.exceptions.SnapshotError`, never a crash or silent
+garbage.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import mmap
 import struct
 import sys
+import threading
 from array import array
 from pathlib import Path as FilePath
 from typing import BinaryIO, Dict, List, Optional, Sequence, Union
@@ -80,19 +73,13 @@ from repro.observability.search import active_search_stats
 #: Snapshot file magic ("RePro road Network").
 SNAPSHOT_MAGIC = b"RPRN"
 
-#: Current snapshot format version; bump on layout changes.
+#: Snapshot format version; bump on layout changes.
 SNAPSHOT_VERSION = 3
 
-#: Versions this build can read (v1 files simply have no sections).
-SUPPORTED_SNAPSHOT_VERSIONS = (1, 2, 3)
+#: Versions this build can read.
+SUPPORTED_SNAPSHOT_VERSIONS = (SNAPSHOT_VERSION,)
 
-#: Tag of the contraction-hierarchy section (rank + augmented arcs).
-CH_SECTION_TAG = b"CHI1"
-
-#: Human-readable names for known section tags (``snapshot_info``).
-_SECTION_NAMES = {CH_SECTION_TAG: "ch"}
-
-#: Byte alignment of every array payload in a version-3 snapshot.  A
+#: Byte alignment of every array payload in a snapshot.  A
 #: cache-line multiple keeps ``memoryview.cast`` legal for 8-byte
 #: elements and page-friendly for the mmap fast path.
 SECTION_ALIGNMENT = 64
@@ -105,7 +92,7 @@ _HEADER = struct.Struct("<4sHHQQ")  # magic, version, reserved, nodes, edges
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
-#: Version-3 array-directory entry: 16-byte NUL-padded ASCII name,
+#: Array-directory entry: 16-byte NUL-padded ASCII name,
 #: 1-byte typecode (``q``/``d``), 7 pad bytes, then element count,
 #: absolute byte offset and byte length as little-endian u64s.
 _DIR_ENTRY = struct.Struct("<16sc7xQQQ")
@@ -192,30 +179,21 @@ class CsrGraph:
 
     @classmethod
     def from_network(cls, network: RoadNetwork) -> "CsrGraph":
-        """Flatten the network's adjacency lists, preserving arc order."""
+        """Flatten the network's adjacency, preserving arc order.
+
+        The base view carries the network's own travel times, even if
+        a live-traffic epoch happens to be pinned while it builds.
+        """
         n = network.num_nodes
-        m = network.num_edges
-        edges = network._edges
-        weights = network.default_weights()
-
-        def _flatten(adjacency, heads_of):
-            offsets = array("q", [0] * (n + 1))
-            targets = array("q", [0] * m)
-            edge_ids = array("q", [0] * m)
-            arc_weights = array("d", [0.0] * m)
-            pos = 0
-            for node_id in range(n):
-                for edge_id in adjacency[node_id]:
-                    targets[pos] = heads_of(edges[edge_id])
-                    edge_ids[pos] = edge_id
-                    arc_weights[pos] = weights[edge_id]
-                    pos += 1
-                offsets[node_id + 1] = pos
-            return offsets, targets, edge_ids, arc_weights
-
-        fwd = _flatten(network._out, lambda edge: edge.v)
-        bwd = _flatten(network._in, lambda edge: edge.u)
-        return cls(n, m, *fwd, *bwd)
+        tails = [edge.u for edge in network._edges]
+        heads = [edge.v for edge in network._edges]
+        weights = network._default_weights
+        return cls(
+            n,
+            network.num_edges,
+            *_flat_arcs(n, tails, heads, weights),
+            *_flat_arcs(n, heads, tails, weights),
+        )
 
     @classmethod
     def from_mmap(
@@ -265,6 +243,31 @@ class CsrGraph:
         )
 
 
+def _flat_arcs(
+    num_nodes: int,
+    keys: Sequence[int],
+    ends: Sequence[int],
+    weights: Sequence[float],
+) -> tuple:
+    """One direction's flat (offsets, targets, edge ids, weights) arrays.
+
+    Arcs are grouped by ``keys[edge_id]`` — edge tails for the forward
+    view, heads for the backward one — with edge ids ascending within
+    each node, which is exactly :class:`RoadNetwork`'s adjacency-list
+    order; ``ends`` gives each arc's other endpoint.
+    """
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    degree = [0] * (num_nodes + 1)
+    for node_id in keys:
+        degree[node_id + 1] += 1
+    return (
+        array("q", itertools.accumulate(degree)),
+        array("q", [ends[edge_id] for edge_id in order]),
+        array("q", order),
+        array("d", [weights[edge_id] for edge_id in order]),
+    )
+
+
 def _group_arcs(
     num_nodes: int,
     offsets: array,
@@ -282,58 +285,34 @@ def _group_arcs(
     return arcs
 
 
-# -- attachment -------------------------------------------------------------
+# -- the one accessor ------------------------------------------------------
+
+#: Serialises first builds, so concurrent serving threads reaching a
+#: network's view at the same moment share one build.
+_BUILD_LOCK = threading.Lock()
 
 
 def ensure_csr(network: RoadNetwork) -> CsrGraph:
     """The network's CSR view, building and caching it on first call.
 
-    The build is idempotent, so a rare concurrent double-build wastes
-    work but never produces an inconsistent view.  When a live-traffic
-    epoch carrying its own CSR view is pinned on this context, that
-    view is returned instead (see :func:`attached_csr`).
-    """
-    epoch_csr = _epoch_csr(network)
-    if epoch_csr is not None:
-        return epoch_csr
-    csr = network._csr
-    if csr is None:
-        csr = CsrGraph.from_network(network)
-        network._csr = csr
-    return csr
-
-
-def _epoch_csr(network: RoadNetwork) -> Optional[CsrGraph]:
-    """The pinned epoch's CSR view for this network, if any.
-
-    The base epoch carries ``csr=None`` and delegates to the network's
-    own cached view; customized epochs carry a copy-on-write view with
-    re-priced weights plus their own landmark table and hierarchy.
+    The only way to reach a network's view.  When a customized
+    live-traffic epoch of this network is pinned on the context, its
+    copy-on-write view (re-priced weights plus its own landmark table
+    and hierarchy) is returned instead; the base epoch carries
+    ``csr=None`` and shares the network's own view.
     """
     epoch = active_epoch()
     if epoch is not None and epoch.network is network:
-        return epoch.csr
-    return None
-
-
-def attached_csr(network: RoadNetwork) -> Optional[CsrGraph]:
-    """The cached CSR view, or None — never triggers a build.
-
-    Epoch-aware: with a customized weight epoch pinned, every dispatch
-    point that asks for "the network's CSR view" — the backend
-    resolver, the ALT and CH lookups, the search-context tree cells —
-    transparently receives the epoch's re-priced view.
-    """
-    epoch_csr = _epoch_csr(network)
-    if epoch_csr is not None:
-        return epoch_csr
-    return network._csr
-
-
-def detach_csr(network: RoadNetwork) -> None:
-    """Drop the cached CSR view (and any landmark table or contraction
-    hierarchy riding on it)."""
-    network._csr = None
+        if epoch.csr is not None:
+            return epoch.csr
+    csr = network._csr
+    if csr is None:
+        with _BUILD_LOCK:
+            csr = network._csr
+            if csr is None:
+                csr = CsrGraph.from_network(network)
+                network._csr = csr
+    return csr
 
 
 # -- the kernel -------------------------------------------------------------
@@ -454,16 +433,6 @@ def _read_exact(handle: BinaryIO, count: int, what: str) -> bytes:
     return data
 
 
-def _read_array(
-    handle: BinaryIO, typecode: str, count: int, what: str
-) -> array:
-    arr = array(typecode)
-    arr.frombytes(_read_exact(handle, count * arr.itemsize, what))
-    if sys.byteorder == "big":  # pragma: no cover - no BE CI hosts
-        arr.byteswap()
-    return arr
-
-
 def _write_string(handle: BinaryIO, text: str) -> None:
     data = text.encode("utf-8")
     handle.write(_U32.pack(len(data)))
@@ -479,38 +448,23 @@ def _read_string(handle: BinaryIO, what: str) -> str:
 
 
 def save_snapshot(
-    network: RoadNetwork,
-    path: Union[PathLike, BinaryIO],
-    *,
-    version: int = SNAPSHOT_VERSION,
+    network: RoadNetwork, path: Union[PathLike, BinaryIO]
 ) -> None:
     """Write the network to the binary snapshot format.
 
     ``path`` may be a filesystem path or a writable binary file object
-    (the fuzz tier round-trips through ``io.BytesIO``).  The default
-    writes the current (mmap-able, version-3) layout: the CSR view is
-    built if absent and its arrays persisted at
+    (the fuzz tier round-trips through ``io.BytesIO``).  The CSR view
+    is built if absent and its arrays persisted at
     :data:`SECTION_ALIGNMENT`-aligned offsets, along with an attached
     ALT landmark table and/or contraction hierarchy, so
     :func:`map_snapshot` can later expose everything as zero-copy
-    memoryviews.  ``version=2`` writes the legacy streamed layout
-    (with an optional ``CHI1`` hierarchy section) for compatibility
-    with older readers.
+    memoryviews.
     """
-    if version == 3:
-        writer = _write_snapshot_v3
-    elif version == 2:
-        writer = _write_snapshot_v2
-    else:
-        raise ConfigurationError(
-            f"cannot write snapshot version {version}; this build "
-            f"writes versions 2 and 3"
-        )
     if hasattr(path, "write"):
-        writer(network, path)
+        _write_snapshot(network, path)
         return
     with open(path, "wb") as handle:
-        writer(network, handle)
+        _write_snapshot(network, handle)
 
 
 def _collect_core_arrays(network: RoadNetwork):
@@ -573,30 +527,7 @@ def _collect_core_arrays(network: RoadNetwork):
     return strings, core
 
 
-def _write_snapshot_v2(network: RoadNetwork, handle: BinaryIO) -> None:
-    n = network.num_nodes
-    m = network.num_edges
-    handle.write(_HEADER.pack(SNAPSHOT_MAGIC, 2, 0, n, m))
-    _write_string(handle, network.name)
-    strings, core = _collect_core_arrays(network)
-    handle.write(_U32.pack(len(strings)))
-    for text in strings:
-        _write_string(handle, text)
-    for _name, arr in core:
-        handle.write(_to_le(arr))
-
-    sections: List[tuple[bytes, bytes]] = []
-    csr = network._csr
-    if csr is not None and csr.hierarchy is not None:
-        sections.append((CH_SECTION_TAG, _ch_section_payload(csr.hierarchy)))
-    handle.write(_U32.pack(len(sections)))
-    for tag, payload in sections:
-        handle.write(tag)
-        handle.write(_U64.pack(len(payload)))
-        handle.write(payload)
-
-
-def _write_snapshot_v3(network: RoadNetwork, handle: BinaryIO) -> None:
+def _write_snapshot(network: RoadNetwork, handle: BinaryIO) -> None:
     """Write the mmap-able array-directory layout.
 
     Every array payload lands at a :data:`SECTION_ALIGNMENT`-aligned
@@ -668,7 +599,7 @@ def write_v3_arrays(
     strings: Sequence[str],
     arrays: Sequence[tuple],
 ) -> None:
-    """Write a version-3 snapshot from already-collected arrays.
+    """Write a snapshot from already-collected arrays.
 
     ``arrays`` is an ordered ``(name, array)`` sequence — the exact
     bytes any two writers produce for the same inputs are identical,
@@ -752,59 +683,6 @@ def csr_array_fingerprint(num_nodes, num_edges, arrays) -> str:
     return digest.hexdigest()
 
 
-def _ch_section_payload(hierarchy) -> bytes:
-    """Serialise a :class:`~repro.core.ch.CchBackend` (little-endian).
-
-    Layout: u64 arc count, then the rank array (one i64 per node) and
-    the six per-arc arrays — tails, heads, edge ids, child-up,
-    child-down (i64) and weights (f64).
-    """
-    parts = [_U64.pack(len(hierarchy.arc_tails))]
-    for arr in (
-        hierarchy.rank,
-        hierarchy.arc_tails,
-        hierarchy.arc_heads,
-        hierarchy.arc_edge_ids,
-        hierarchy.arc_child_up,
-        hierarchy.arc_child_down,
-        hierarchy.arc_weights,
-    ):
-        parts.append(_to_le(arr))
-    return b"".join(parts)
-
-
-def _read_ch_section(handle: BinaryIO, network: RoadNetwork) -> None:
-    """Parse a ``CHI1`` section and attach the restored hierarchy."""
-    (num_arcs,) = _U64.unpack(
-        _read_exact(handle, _U64.size, "CH section arc count")
-    )
-    n = network.num_nodes
-    rank = _read_array(handle, "q", n, "CH rank array")
-    arc_tails = _read_array(handle, "q", num_arcs, "CH arc tails")
-    arc_heads = _read_array(handle, "q", num_arcs, "CH arc heads")
-    arc_edge_ids = _read_array(handle, "q", num_arcs, "CH arc edge ids")
-    arc_child_up = _read_array(handle, "q", num_arcs, "CH arc child-up")
-    arc_child_down = _read_array(handle, "q", num_arcs, "CH arc child-down")
-    arc_weights = _read_array(handle, "d", num_arcs, "CH arc weights")
-    # Lazy import: repro.core.ch imports this module at module level.
-    from repro.core.ch import CchBackend
-
-    try:
-        backend = CchBackend.from_arrays(
-            network,
-            rank,
-            arc_tails,
-            arc_heads,
-            arc_edge_ids=arc_edge_ids,
-            arc_weights=arc_weights,
-            arc_child_up=arc_child_up,
-            arc_child_down=arc_child_down,
-        )
-    except (ConfigurationError, IndexError) as exc:
-        raise SnapshotError(f"inconsistent CH section: {exc}") from exc
-    ensure_csr(network).hierarchy = backend
-
-
 def _read_header(handle: BinaryIO) -> tuple[int, int, int]:
     """Validate magic + version; return (version, num_nodes, num_edges)."""
     raw = _read_exact(handle, _HEADER.size, "header")
@@ -817,7 +695,8 @@ def _read_header(handle: BinaryIO) -> tuple[int, int, int]:
     if version not in SUPPORTED_SNAPSHOT_VERSIONS:
         raise SnapshotError(
             f"unsupported snapshot version {version} (this build reads "
-            f"versions {', '.join(map(str, SUPPORTED_SNAPSHOT_VERSIONS))})"
+            f"version {SNAPSHOT_VERSION} only); rebuild the snapshot with "
+            f"`repro snapshot build`"
         )
     return version, n, m
 
@@ -833,28 +712,24 @@ def load_snapshot(
     buffers are parsed in place, so callers holding a mapped region
     never pay a second file read.  Arrays are always *materialised*
     into per-process ``array`` objects here — use :func:`map_snapshot`
-    for the zero-copy shared-page path.
+    for the zero-copy shared-page path.  The returned network carries
+    its CSR view plus any persisted landmark table and hierarchy.
 
     Raises :class:`~repro.exceptions.SnapshotError` for bad magic,
-    unsupported versions and truncated files.  A v2 ``CHI1`` section
-    (see ``repro snapshot build --with-ch``) restores the saved
-    contraction hierarchy onto the returned network's CSR view — no
-    re-contraction; unknown section tags are skipped by length.  A v3
-    file restores its CSR view plus any persisted landmark table and
-    hierarchy.  v1/v2 networks saved without sections come back with
-    no CSR view attached; call :func:`ensure_csr` (or
-    :func:`~repro.core.alt.ensure_landmarks` /
-    :func:`~repro.core.ch.ensure_hierarchy`) to accelerate them.
+    other format versions, truncated and corrupt files.
     """
     if isinstance(path, (bytes, bytearray, memoryview)):
-        buf = memoryview(path)
-        if buf.format != "B":
-            buf = buf.cast("B")
-        return _read_snapshot(_BufReader(buf))
-    if hasattr(path, "read"):
-        return _read_snapshot(path)
-    with open(path, "rb") as handle:
-        return _read_snapshot(handle)
+        data = path
+    elif hasattr(path, "read"):
+        data = path.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    buf = memoryview(data)
+    if buf.format != "B":
+        buf = buf.cast("B")
+    network, _csr, _directory = _parse(buf, copy=True)
+    return network
 
 
 class _BufReader:
@@ -871,78 +746,10 @@ class _BufReader:
         self.buf = buf
         self.pos = 0
 
-    def read(self, count: int = -1) -> bytes:
-        if count < 0:
-            count = len(self.buf) - self.pos
+    def read(self, count: int) -> bytes:
         data = bytes(self.buf[self.pos : self.pos + count])
         self.pos += len(data)
         return data
-
-    def tell(self) -> int:
-        return self.pos
-
-
-def _read_snapshot(handle) -> RoadNetwork:
-    version, n, m = _read_header(handle)
-    if version >= 3:
-        if isinstance(handle, _BufReader):
-            buf = handle.buf
-        else:
-            # Materialise the stream once; the v3 parser is
-            # offset-addressed, so rebuild the 24 header bytes it
-            # already consumed in front of the remainder.
-            buf = memoryview(
-                _HEADER.pack(SNAPSHOT_MAGIC, version, 0, n, m)
-                + handle.read()
-            )
-        network, _csr, _directory = _parse_v3(buf, copy=True)
-        return network
-    name = _read_string(handle, "network name")
-    (string_count,) = _U32.unpack(
-        _read_exact(handle, _U32.size, "string-table size")
-    )
-    strings = [
-        _read_string(handle, f"string-table entry {index}")
-        for index in range(string_count)
-    ]
-
-    lats = _read_array(handle, "d", n, "node latitudes")
-    lons = _read_array(handle, "d", n, "node longitudes")
-    osm_ids = _read_array(handle, "q", n, "node osm ids")
-    tails = _read_array(handle, "q", m, "edge tails")
-    heads = _read_array(handle, "q", m, "edge heads")
-    lengths = _read_array(handle, "d", m, "edge lengths")
-    times = _read_array(handle, "d", m, "edge travel times")
-    maxspeeds = _read_array(handle, "d", m, "edge speed limits")
-    lanes = _read_array(handle, "q", m, "edge lane counts")
-    way_ids = _read_array(handle, "q", m, "edge way ids")
-    highway_refs = _read_array(handle, "q", m, "edge highway refs")
-    name_refs = _read_array(handle, "q", m, "edge name refs")
-
-    network = _materialise_network(
-        name, strings, n, m,
-        lats, lons, osm_ids,
-        tails, heads, lengths, times, maxspeeds, lanes, way_ids,
-        highway_refs, name_refs,
-    )
-
-    if version >= 2:
-        (section_count,) = _U32.unpack(
-            _read_exact(handle, _U32.size, "section count")
-        )
-        for index in range(section_count):
-            tag = _read_exact(handle, 4, f"section {index} tag")
-            (length,) = _U64.unpack(
-                _read_exact(handle, _U64.size, f"section {index} length")
-            )
-            if tag == CH_SECTION_TAG:
-                _read_ch_section(handle, network)
-            else:
-                # Forward compatibility: newer writers may append
-                # sections this build does not know; their length
-                # prefix lets us hop over the payload.
-                _read_exact(handle, length, f"section {tag!r} payload")
-    return network
 
 
 def _materialise_network(
@@ -953,8 +760,9 @@ def _materialise_network(
 ) -> RoadNetwork:
     """Build the Node/Edge object graph from payload arrays.
 
-    Shared by the v1/v2 streamed reader and both v3 paths; a corrupt
-    string reference or endpoint surfaces as :class:`SnapshotError`.
+    Shared by both snapshot paths and the streaming assembler; a
+    corrupt string reference or endpoint surfaces as
+    :class:`SnapshotError`.
     """
     try:
         nodes = [
@@ -981,8 +789,8 @@ def _materialise_network(
         raise SnapshotError(f"inconsistent snapshot payload: {exc}") from exc
 
 
-def _read_v3_directory(reader, file_bytes: int) -> Dict[str, tuple]:
-    """Parse + validate the v3 array directory from a sequential reader.
+def _read_directory(reader, file_bytes: int) -> Dict[str, tuple]:
+    """Parse + validate the array directory from a sequential reader.
 
     Returns ``{name: (typecode, count, offset, nbytes)}``.  Every
     corruption mode — implausible counts, non-ASCII names, unknown
@@ -1048,25 +856,35 @@ def _read_v3_directory(reader, file_bytes: int) -> Dict[str, tuple]:
     return directory
 
 
-def _check_csr_offsets(offsets, n: int, m: int, what: str) -> None:
-    """Reject non-monotonic / out-of-range CSR offset arrays up front
-    (a corrupt file must raise, never mis-group arcs silently)."""
-    if offsets[0] != 0 or offsets[n] != m:
-        raise SnapshotError(
-            f"corrupt snapshot: {what} offsets span "
-            f"[{offsets[0]}, {offsets[n]}], expected [0, {m}]"
-        )
-    prev = 0
-    for value in offsets:
-        if value < prev:
-            raise SnapshotError(
-                f"corrupt snapshot: {what} offsets are not monotonic"
-            )
-        prev = value
+def _read_front(reader, file_bytes: int):
+    """Header, network name, string table and array directory.
+
+    Returns ``(num_nodes, num_edges, name, strings, directory)``.
+    """
+    _version, n, m = _read_header(reader)
+    name = _read_string(reader, "network name")
+    (string_count,) = _U32.unpack(
+        _read_exact(reader, _U32.size, "string-table size")
+    )
+    strings = [
+        _read_string(reader, f"string-table entry {index}")
+        for index in range(string_count)
+    ]
+    return n, m, name, strings, _read_directory(reader, file_bytes)
 
 
-def _parse_v3(buf: memoryview, *, copy: bool):
-    """Parse a version-3 snapshot held in ``buf``.
+def _section_sizes(directory: Dict[str, tuple]) -> Dict[str, int]:
+    """Payload bytes per array group (``core``, ``csr``, ``alt``, ...)."""
+    sections: Dict[str, int] = {}
+    for arr_name, (_tc, _count, _offset, nbytes) in directory.items():
+        prefix = arr_name.split(".")[0]
+        group = _CORE_PREFIXES.get(prefix, prefix)
+        sections[group] = sections.get(group, 0) + nbytes
+    return sections
+
+
+def _parse(buf: memoryview, *, copy: bool):
+    """Parse a snapshot held in ``buf``.
 
     With ``copy=False`` every array becomes a ``memoryview.cast``
     directly over ``buf`` — zero bytes copied, the :func:`map_snapshot`
@@ -1079,22 +897,7 @@ def _parse_v3(buf: memoryview, *, copy: bool):
         raise SnapshotError(
             "zero-copy snapshot mapping requires a little-endian host"
         )
-    reader = _BufReader(buf)
-    version, n, m = _read_header(reader)
-    if version != 3:
-        raise SnapshotError(
-            f"snapshot version {version} is not mmap-able; re-save it "
-            f"with save_snapshot() or load it via load_snapshot()"
-        )
-    name = _read_string(reader, "network name")
-    (string_count,) = _U32.unpack(
-        _read_exact(reader, _U32.size, "string-table size")
-    )
-    strings = [
-        _read_string(reader, f"string-table entry {index}")
-        for index in range(string_count)
-    ]
-    directory = _read_v3_directory(reader, len(buf))
+    n, m, name, strings, directory = _read_front(_BufReader(buf), len(buf))
 
     def section(arr_name: str, typecode: str, count: int):
         entry = directory.get(arr_name)
@@ -1123,15 +926,18 @@ def _parse_v3(buf: memoryview, *, copy: bool):
             return arr
         return raw.cast(typecode)
 
+    tails = section("edge.tail", "q", m)
+    heads = section("edge.head", "q", m)
+    times = section("edge.time", "d", m)
     network = _materialise_network(
         name, strings, n, m,
         section("node.lat", "d", n),
         section("node.lon", "d", n),
         section("node.osm", "q", n),
-        section("edge.tail", "q", m),
-        section("edge.head", "q", m),
+        tails,
+        heads,
         section("edge.len", "d", m),
-        section("edge.time", "d", m),
+        times,
         section("edge.speed", "d", m),
         section("edge.lanes", "q", m),
         section("edge.way", "q", m),
@@ -1139,21 +945,32 @@ def _parse_v3(buf: memoryview, *, copy: bool):
         section("edge.name", "q", m),
     )
 
-    fwd_offsets = section("csr.fwd_off", "q", n + 1)
-    bwd_offsets = section("csr.bwd_off", "q", n + 1)
-    _check_csr_offsets(fwd_offsets, n, m, "forward CSR")
-    _check_csr_offsets(bwd_offsets, n, m, "backward CSR")
-    csr = CsrGraph.from_mmap(
-        n, m,
-        fwd_offsets,
-        section("csr.fwd_tgt", "q", m),
-        section("csr.fwd_eid", "q", m),
-        section("csr.fwd_wt", "d", m),
-        bwd_offsets,
-        section("csr.bwd_tgt", "q", m),
-        section("csr.bwd_eid", "q", m),
-        section("csr.bwd_wt", "d", m),
-    )
+    # The CSR arrays must be exactly the view the (already validated)
+    # edge arrays define: a stray arc would route over a road that does
+    # not exist, or index past an array at query time.
+    csr_arrays = []
+    tail_ids, head_ids = tails.tolist(), heads.tolist()
+    time_list = times.tolist()
+    for prefix, keys, ends in (
+        ("fwd", tail_ids, head_ids), ("bwd", head_ids, tail_ids)
+    ):
+        for suffix, got, want in zip(
+            ("off", "tgt", "eid", "wt"),
+            (
+                section(f"csr.{prefix}_off", "q", n + 1),
+                section(f"csr.{prefix}_tgt", "q", m),
+                section(f"csr.{prefix}_eid", "q", m),
+                section(f"csr.{prefix}_wt", "d", m),
+            ),
+            _flat_arcs(n, keys, ends, time_list),
+        ):
+            if got.tobytes() != want.tobytes():
+                raise SnapshotError(
+                    f"corrupt snapshot: array 'csr.{prefix}_{suffix}' "
+                    f"does not match the edge arrays"
+                )
+            csr_arrays.append(got)
+    csr = CsrGraph.from_mmap(n, m, *csr_arrays)
     network._csr = csr
 
     if "alt.nodes" in directory:
@@ -1208,8 +1025,8 @@ def _parse_v3(buf: memoryview, *, copy: bool):
     return network, csr, directory
 
 
-#: Directory-name prefixes grouped for ``snapshot_info`` reporting.
-_V3_GROUPS = {"node": "core", "edge": "core"}
+#: Directory-name prefixes reported as one ``core`` group.
+_CORE_PREFIXES = {"node": "core", "edge": "core"}
 
 
 class MappedSnapshot:
@@ -1310,7 +1127,7 @@ def map_snapshot(
         if buf.format != "B":
             buf = buf.cast("B")
     try:
-        network, csr, directory = _parse_v3(buf, copy=False)
+        network, csr, directory = _parse(buf, copy=False)
     except Exception:
         buf.release()
         if mapping is not None:
@@ -1319,78 +1136,32 @@ def map_snapshot(
             except BufferError:  # traceback frames may pin views briefly
                 pass
         raise
-    sections: Dict[str, int] = {}
-    for arr_name, (_tc, _count, _offset, nbytes) in directory.items():
-        group = _V3_GROUPS.get(arr_name.split(".")[0], arr_name.split(".")[0])
-        sections[group] = sections.get(group, 0) + nbytes
-    return MappedSnapshot(network, csr, path, sections, mapping, buf)
+    return MappedSnapshot(
+        network, csr, path, _section_sizes(directory), mapping, buf
+    )
 
 
 def snapshot_info(path: PathLike) -> dict:
     """Metadata of a snapshot file, without loading the arrays.
 
     Returns ``{"magic", "version", "name", "num_nodes", "num_edges",
-    "file_bytes", "sections"}`` where ``sections`` maps each optional
-    section (``"ch"`` for a persisted contraction hierarchy; unknown
-    tags appear under their raw tag string) to its payload size in
-    bytes — version-1 files report an empty mapping.  Raises
-    :class:`SnapshotError` on malformed headers or truncated sections
-    exactly like :func:`load_snapshot`; it never runs struct errors
-    loose.
+    "file_bytes", "sections"}`` where ``sections`` maps each array
+    group (``core``, ``csr``, ``alt``, ``ch``; unknown prefixes appear
+    under their own name) to its payload size in bytes.  Raises
+    :class:`SnapshotError` on malformed headers, other format versions
+    and truncated directories exactly like :func:`load_snapshot`; it
+    never runs struct errors loose.
     """
     path = FilePath(path)
     file_bytes = path.stat().st_size
-    sections: Dict[str, int] = {}
     with open(path, "rb") as handle:
-        version, n, m = _read_header(handle)
-        name = _read_string(handle, "network name")
-        if version >= 3:
-            (string_count,) = _U32.unpack(
-                _read_exact(handle, _U32.size, "string-table size")
-            )
-            for index in range(string_count):
-                _read_string(handle, f"string-table entry {index}")
-            directory = _read_v3_directory(handle, file_bytes)
-            for arr_name, (_tc, _count, _offset, nbytes) in directory.items():
-                prefix = arr_name.split(".")[0]
-                group = _V3_GROUPS.get(prefix, prefix)
-                sections[group] = sections.get(group, 0) + nbytes
-        elif version >= 2:
-            (string_count,) = _U32.unpack(
-                _read_exact(handle, _U32.size, "string-table size")
-            )
-            for index in range(string_count):
-                _read_string(handle, f"string-table entry {index}")
-            # Skip the fixed-width node/edge arrays: 3 per-node and 9
-            # per-edge arrays, all 8-byte elements.
-            handle.seek((3 * n + 9 * m) * 8, 1)
-            (section_count,) = _U32.unpack(
-                _read_exact(handle, _U32.size, "section count")
-            )
-            for index in range(section_count):
-                tag = _read_exact(handle, 4, f"section {index} tag")
-                (length,) = _U64.unpack(
-                    _read_exact(handle, _U64.size, f"section {index} length")
-                )
-                pos = handle.tell()
-                if pos + length > file_bytes:
-                    sec = _SECTION_NAMES.get(tag, repr(tag))
-                    raise SnapshotError(
-                        f"truncated snapshot: section {sec} declares "
-                        f"{length} payload bytes but only "
-                        f"{file_bytes - pos} remain"
-                    )
-                name_key = _SECTION_NAMES.get(
-                    tag, tag.decode("ascii", "backslashreplace")
-                )
-                sections[name_key] = length
-                handle.seek(length, 1)
+        n, m, name, _strings, directory = _read_front(handle, file_bytes)
     return {
         "magic": SNAPSHOT_MAGIC.decode("ascii"),
-        "version": version,
+        "version": SNAPSHOT_VERSION,
         "name": name,
         "num_nodes": n,
         "num_edges": m,
         "file_bytes": file_bytes,
-        "sections": sections,
+        "sections": _section_sizes(directory),
     }

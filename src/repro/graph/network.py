@@ -30,8 +30,8 @@ from repro.geometry import BoundingBox
 #: The ambient :class:`~repro.core.customization.WeightEpoch` pin.  Set
 #: per query by the serving layer (and propagated to worker threads via
 #: ``contextvars.copy_context``), it redirects every default-weight
-#: lookup — and, through :func:`repro.graph.csr.attached_csr`, every
-#: accelerated kernel — to one immutable weight snapshot, so a query
+#: lookup — and, through :func:`repro.graph.csr.ensure_csr`, every
+#: search kernel — to one immutable weight snapshot, so a query
 #: finishes on the epoch it started with even while live traffic swaps
 #: the controller's current epoch underneath it.
 _ACTIVE_EPOCH: contextvars.ContextVar = contextvars.ContextVar(
@@ -149,8 +149,9 @@ class RoadNetwork:
             e.travel_time_s for e in self._edges
         ]
         self._bbox: Optional[BoundingBox] = None
-        # Cached CSR acceleration view, managed by repro.graph.csr
-        # (ensure_csr/attached_csr/detach_csr); None until built.
+        # Cached CSR view, read and written only by
+        # repro.graph.csr.ensure_csr (and the snapshot loaders there);
+        # None until first built.
         self._csr = None
 
     def _validate(self) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.exceptions import ConfigurationError
-from repro.algorithms.dijkstra import dijkstra
+from repro.algorithms.dijkstra import kernel_dijkstra
 from repro.graph.path import Path
 from repro.metrics.similarity import average_pairwise_similarity
 
@@ -48,7 +48,7 @@ def _subpath_is_shortest(
     sub = path.subpath(start_index, end_index)
     w = path.network.default_weights() if weights is None else weights
     sub_time = sum(w[edge_id] for edge_id in sub.edge_ids)
-    tree = dijkstra(
+    tree = kernel_dijkstra(
         path.network, sub.source, weights=weights, target=sub.target
     )
     best = tree.distance(sub.target)
@@ -133,7 +133,7 @@ def detour_score(
         radius = prefix[later[-1]] - prefix[i]
         if radius <= 0:
             continue
-        tree = dijkstra(
+        tree = kernel_dijkstra(
             path.network,
             path.nodes[i],
             weights=weights,

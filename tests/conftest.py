@@ -6,7 +6,16 @@ import pytest
 
 from repro.cities import melbourne
 from repro.graph.builder import RoadNetworkBuilder, grid_network
+from repro.graph.csr import ensure_csr
 from repro.graph.network import RoadNetwork
+
+
+def drop_accelerators(network: RoadNetwork) -> None:
+    """Detach the landmark table and contraction hierarchy riding on a
+    (shared, session-scoped) network's CSR view."""
+    csr = ensure_csr(network)
+    csr.landmarks = None
+    csr.hierarchy = None
 
 
 @pytest.fixture(scope="session")

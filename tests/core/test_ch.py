@@ -40,8 +40,9 @@ from repro.exceptions import (
 )
 from repro.cities import melbourne
 from repro.graph.builder import RoadNetworkBuilder, grid_network
-from repro.graph.csr import detach_csr, ensure_csr
+from repro.graph.csr import ensure_csr
 from repro.graph.path import Path
+from tests.conftest import drop_accelerators
 
 _EPS = 1e-6
 
@@ -161,13 +162,13 @@ class TestArrayRoundTrip:
 
 class TestLifecycle:
     def test_ensure_hierarchy_builds_once_and_caches(self, grid10):
-        detach_csr(grid10)
+        drop_accelerators(grid10)
         assert attached_hierarchy(grid10) is None
         built = ensure_hierarchy(grid10)
         assert attached_hierarchy(grid10) is built
         assert ensure_hierarchy(grid10) is built  # cached, not rebuilt
         assert ensure_csr(grid10).hierarchy is built
-        detach_csr(grid10)
+        drop_accelerators(grid10)
         assert attached_hierarchy(grid10) is None
 
 
@@ -190,7 +191,7 @@ class TestBackendSelection:
         assert active_backend() == "auto"
 
     def test_resolve_auto_prefers_ch_then_alt_then_dijkstra(self, grid10):
-        detach_csr(grid10)
+        drop_accelerators(grid10)
         assert resolve_backend(grid10, "auto") == "dijkstra"
         from repro.core.alt import ensure_landmarks
 
@@ -198,10 +199,10 @@ class TestBackendSelection:
         assert resolve_backend(grid10, "auto") == "alt"
         ensure_hierarchy(grid10)
         assert resolve_backend(grid10, "auto") == "ch"
-        detach_csr(grid10)
+        drop_accelerators(grid10)
 
     def test_explicit_backend_without_structure_rejected(self, grid10):
-        detach_csr(grid10)
+        drop_accelerators(grid10)
         with pytest.raises(ConfigurationError):
             resolve_backend(grid10, "ch")
         with pytest.raises(ConfigurationError):

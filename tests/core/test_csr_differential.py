@@ -1,12 +1,13 @@
 """Differential tests: CSR/ALT acceleration never changes any route.
 
 The CSR kernel (:func:`repro.graph.csr.csr_dijkstra`) is documented as
-relaxation-for-relaxation identical to the pure kernel, and the ALT
-kernel as cost-identical; this suite pins both claims end to end.  For
-every registered planner on seeded small builds of all three study
-cities (Melbourne, Dhaka and Copenhagen), the exact node sequences of
-every planned route must be identical whether the network carries a
-CSR view + landmark table or nothing at all.
+relaxation-for-relaxation identical to the pure reference kernel, and
+the ALT kernel as cost-identical; this suite pins both claims end to
+end.  For every registered planner on seeded small builds of all three
+study cities (Melbourne, Dhaka and Copenhagen), the exact node
+sequences of every planned route must be identical whether every
+search runs on the pure reference :func:`dijkstra` or on the CSR view
+with a landmark table attached.
 
 A second layer checks the kernels directly: full shortest-path trees
 (distances *and* parent edges, forward and backward) are equal
@@ -17,17 +18,19 @@ shortest-path cost.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 
 import pytest
 
-from repro.algorithms.dijkstra import dijkstra
+from repro.algorithms.dijkstra import dijkstra, kernel_dijkstra
 from repro.cities import CITY_BUILDERS
 from repro.core.alt import alt_shortest_path_nodes, ensure_landmarks
 from repro.core.registry import available_planners, make_planner
-from repro.graph.csr import attached_csr, csr_dijkstra, detach_csr, ensure_csr
+from repro.graph.csr import csr_dijkstra, ensure_csr
 from repro.serving import RouteQuery, RouteService
+from tests.conftest import drop_accelerators
 
 PAIRS_PER_CITY = 3
 
@@ -59,12 +62,31 @@ def _routable_pairs(network, count=PAIRS_PER_CITY, seed=0):
 
 @pytest.fixture(scope="module", params=sorted(CITY_BUILDERS))
 def city(request):
-    """(name, network, query pairs) for one study city, CSR detached."""
+    """(name, network, query pairs) for one study city."""
     name = request.param
     network = CITY_BUILDERS[name](size="small", seed=0)
-    detach_csr(network)
-    yield name, network, _routable_pairs(network)
-    detach_csr(network)
+    return name, network, _routable_pairs(network)
+
+
+def _reference_kernel(
+    network, root, weights=None, forward=True, target=None,
+    max_dist=math.inf,
+):
+    """:func:`kernel_dijkstra`'s signature over the pure reference."""
+    return dijkstra(
+        network, root, weights=weights, forward=forward, target=target,
+        max_dist=max_dist,
+    )
+
+
+def _bind_everywhere(monkeypatch, name, original, replacement):
+    """Rebind ``name`` in every repro module that imported ``original``."""
+    for module_name, module in list(sys.modules.items()):
+        if (
+            module_name.startswith("repro")
+            and getattr(module, name, None) is original
+        ):
+            monkeypatch.setattr(module, name, replacement)
 
 
 def _plan_all(network, pairs):
@@ -81,18 +103,23 @@ def _plan_all(network, pairs):
 
 
 class TestPlannersIdenticalAcrossKernels:
-    def test_route_sets_identical(self, city):
-        """Every registered planner: same routes with and without CSR/ALT."""
+    def test_route_sets_identical(self, city, monkeypatch):
+        """Every registered planner: same routes on the pure reference
+        kernel as on the CSR view with ALT landmarks attached."""
         name, network, pairs = city
-        detach_csr(network)
-        plain = _plan_all(network, pairs)
+        drop_accelerators(network)
+        with monkeypatch.context() as patch:
+            _bind_everywhere(
+                patch, "kernel_dijkstra", kernel_dijkstra, _reference_kernel
+            )
+            plain = _plan_all(network, pairs)
         assert plain, "registry unexpectedly empty"
-        ensure_csr(network)
+        drop_accelerators(network)
         ensure_landmarks(network, count=8)
         try:
             accelerated = _plan_all(network, pairs)
         finally:
-            detach_csr(network)
+            drop_accelerators(network)
         for planner_name, routes in plain.items():
             assert accelerated[planner_name] == routes, (
                 f"{planner_name} routes diverged on {name} once the "
@@ -106,21 +133,17 @@ class TestKernelsIdentical:
         """dist and parent_edge match entry-for-entry, both directions."""
         _, network, pairs = city
         csr = ensure_csr(network)
-        try:
-            for root, _ in pairs:
-                pure = dijkstra(network, root, forward=forward)
-                flat = csr_dijkstra(network, csr, root, forward=forward)
-                assert flat.dist == pure.dist
-                assert flat.parent_edge == pure.parent_edge
-        finally:
-            detach_csr(network)
+        for root, _ in pairs:
+            pure = dijkstra(network, root, forward=forward)
+            flat = csr_dijkstra(network, csr, root, forward=forward)
+            assert flat.dist == pure.dist
+            assert flat.parent_edge == pure.parent_edge
 
     def test_alt_paths_have_shortest_cost(self, city):
         """ALT may tie-break differently but never costs more."""
         _, network, pairs = city
-        ensure_csr(network)
         ensure_landmarks(network, count=8)
-        csr = attached_csr(network)
+        csr = ensure_csr(network)
         try:
             for source, target in pairs:
                 nodes = alt_shortest_path_nodes(network, csr, source, target)
@@ -131,36 +154,27 @@ class TestKernelsIdentical:
                 )
                 assert cost == pytest.approx(expected, abs=_EPS)
         finally:
-            detach_csr(network)
+            drop_accelerators(network)
 
 
 class TestStudyPathStaysOnCsrKernel:
     def test_served_query_never_runs_the_pure_kernel(self, city, monkeypatch):
-        """With a CSR view attached, a served query of the four study
-        approaches runs every search on the CSR kernel — the commercial
-        engine's private-weight trees and Penalty's penalised searches
-        included; the pure :func:`dijkstra` is never called."""
+        """A served query of the four study approaches runs every search
+        on the CSR kernel — the commercial engine's private-weight trees
+        and Penalty's penalised searches included; the pure reference
+        :func:`dijkstra` is never called."""
         _, network, pairs = city
         source, target = (network.node(node) for node in pairs[0])
-        ensure_csr(network)
         service = RouteService.from_network(network)
         try:
             def forbidden(*args, **kwargs):
-                raise AssertionError(
-                    "pure dijkstra() ran with a CSR view attached"
-                )
+                raise AssertionError("the pure reference dijkstra() ran")
 
-            for name, module in list(sys.modules.items()):
-                if (
-                    name.startswith("repro")
-                    and getattr(module, "dijkstra", None) is dijkstra
-                ):
-                    monkeypatch.setattr(module, "dijkstra", forbidden)
+            _bind_everywhere(monkeypatch, "dijkstra", dijkstra, forbidden)
             result = service.query(
                 RouteQuery(source.lat, source.lon, target.lat, target.lon)
             )
         finally:
             service.close()
-            detach_csr(network)
         assert result.errors == {}
         assert sorted(result.route_sets) == ["A", "B", "C", "D"]

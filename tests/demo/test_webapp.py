@@ -289,25 +289,24 @@ class TestHealthEndpoint:
         network = payload["network"]
         # No accelerator precomputation on the test server: the
         # attachment flags report exactly that.
-        assert network["csr_attached"] is False
+        assert "csr_attached" not in network  # every search runs on CSR
         assert network["landmarks"] == 0
         assert network["ch_attached"] is False
 
     def test_healthz_reports_attached_accelerators(self, server):
         from repro.core.alt import ensure_landmarks
         from repro.core.ch import ensure_hierarchy
-        from repro.graph.csr import detach_csr
+        from tests.conftest import drop_accelerators
 
         network = server.service.processor.network
         try:
             ensure_landmarks(network, count=4)
             ensure_hierarchy(network)
             payload = get_json(server, "/healthz")["network"]
-            assert payload["csr_attached"] is True
             assert payload["landmarks"] == 4
             assert payload["ch_attached"] is True
         finally:
-            detach_csr(network)
+            drop_accelerators(network)
 
 
 class TestProfileEndpoint:

@@ -3,6 +3,8 @@
 import io
 import math
 import struct
+import threading
+import time
 
 import pytest
 
@@ -12,14 +14,15 @@ from repro.graph.csr import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
     CsrGraph,
-    attached_csr,
+    _DIR_ENTRY,
     csr_dijkstra,
-    detach_csr,
     ensure_csr,
     load_snapshot,
+    map_snapshot,
     save_snapshot,
     snapshot_info,
 )
+from tests.conftest import drop_accelerators
 
 _HEADER = struct.Struct("<4sHHQQ")
 
@@ -47,13 +50,41 @@ class TestCsrView:
             assert list(csr.bwd_arcs[node_id]) == expected_in
 
     def test_ensure_builds_once_and_caches(self, grid10):
-        detach_csr(grid10)
-        assert attached_csr(grid10) is None
         first = ensure_csr(grid10)
-        assert attached_csr(grid10) is first
         assert ensure_csr(grid10) is first
-        detach_csr(grid10)
-        assert attached_csr(grid10) is None
+        assert list(first.fwd_targets) == list(
+            CsrGraph.from_network(grid10).fwd_targets
+        )
+
+    def test_concurrent_first_builds_share_one_view(self, monkeypatch):
+        """Serving threads that reach a fresh network's view at the same
+        moment get one view, built once."""
+        from repro.graph.builder import grid_network
+
+        network = grid_network(6, 6)
+        builds = []
+        real_build = CsrGraph.from_network.__func__
+
+        def slow_build(cls, net):
+            builds.append(net)
+            time.sleep(0.05)  # widen the race window
+            return real_build(cls, net)
+
+        monkeypatch.setattr(CsrGraph, "from_network", classmethod(slow_build))
+        start = threading.Barrier(8)
+        views = []
+
+        def reach():
+            start.wait()
+            views.append(ensure_csr(network))
+
+        threads = [threading.Thread(target=reach) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(builds) == 1
+        assert len(views) == 8 and all(view is views[0] for view in views)
 
     def test_repr_mentions_landmarks(self, grid10):
         csr = CsrGraph.from_network(grid10)
@@ -99,11 +130,6 @@ class TestSnapshots:
         assert list(restored.nodes()) == list(melbourne_small.nodes())
         assert list(restored.edges()) == list(melbourne_small.edges())
 
-    def test_loaded_v2_network_has_no_csr_attached(self, tmp_path, grid10):
-        path = tmp_path / "grid.snap"
-        save_snapshot(grid10, path, version=2)
-        assert attached_csr(load_snapshot(path)) is None
-
     def test_snapshot_info_reads_header_only(self, tmp_path, grid10):
         path = tmp_path / "grid.snap"
         save_snapshot(grid10, path)
@@ -128,12 +154,18 @@ class TestSnapshots:
             load_snapshot(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "future.snap"
-        path.write_bytes(
-            _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION + 1, 0, 1, 0)
-        )
-        with pytest.raises(SnapshotError, match="version"):
-            load_snapshot(path)
+        """Future versions and the retired v1/v2 layouts alike: every
+        reader raises a typed error that says how to rebuild."""
+        for version in (1, 2, SNAPSHOT_VERSION + 1):
+            path = tmp_path / f"v{version}.snap"
+            path.write_bytes(
+                _HEADER.pack(SNAPSHOT_MAGIC, version, 0, 1, 0)
+                + b"\x00" * 64
+            )
+            for reader in (load_snapshot, map_snapshot, snapshot_info):
+                with pytest.raises(SnapshotError, match="version") as err:
+                    reader(path)
+                assert "repro snapshot build" in str(err.value)
 
     def test_truncated_payload_rejected(self, tmp_path, grid10):
         buffer = io.BytesIO()
@@ -154,14 +186,18 @@ class TestSnapshots:
         assert issubclass(SnapshotError, GraphError)
 
 
-class TestChSections:
-    """The v2 tagged-section block carrying the contraction hierarchy.
+def _entry(payload, name: bytes):
+    """(position, offset, byte length) of one array-directory entry."""
+    at = payload.find(name.ljust(16, b"\x00"))
+    assert at != -1, name
+    _name, _typecode, _count, offset, nbytes = _DIR_ENTRY.unpack_from(
+        payload, at
+    )
+    return at, offset, nbytes
 
-    Saves pin ``version=2`` — the streamed layout these tests poke at
-    byte-by-byte; the v3 array-directory layout has its own tier
-    (``TestV3Snapshots`` here, ``tests/test_properties_mmap.py`` for
-    the fuzzed round-trips).
-    """
+
+class TestChSections:
+    """The persisted contraction hierarchy: the ``ch.*`` arrays."""
 
     @pytest.fixture()
     def contracted(self):
@@ -178,7 +214,7 @@ class TestChSections:
         import repro.core.ch as ch_module
 
         path = tmp_path / "ch.snap"
-        save_snapshot(contracted, path, version=2)
+        save_snapshot(contracted, path)
         # Any contraction on load would be a regression: the hierarchy
         # must come back from the section bytes alone.
         monkeypatch.setattr(
@@ -187,9 +223,9 @@ class TestChSections:
             lambda *a, **k: pytest.fail("snapshot load re-contracted"),
         )
         restored = load_snapshot(path)
-        csr = attached_csr(restored)
-        assert csr is not None and csr.hierarchy is not None
-        original = attached_csr(contracted).hierarchy
+        csr = ensure_csr(restored)
+        assert csr.hierarchy is not None
+        original = ensure_csr(contracted).hierarchy
         assert csr.hierarchy.num_arcs == original.num_arcs
         assert csr.hierarchy.num_shortcuts == original.num_shortcuts
         assert csr.hierarchy.shortest_path_nodes(
@@ -200,24 +236,25 @@ class TestChSections:
         self, tmp_path, contracted, grid10
     ):
         with_ch = tmp_path / "with.snap"
-        save_snapshot(contracted, with_ch, version=2)
+        save_snapshot(contracted, with_ch)
         info = snapshot_info(with_ch)
-        assert info["version"] == 2
-        assert set(info["sections"]) == {"ch"}
+        assert info["version"] == SNAPSHOT_VERSION
+        assert set(info["sections"]) == {"core", "csr", "ch"}
         assert info["sections"]["ch"] > 0
 
         without = tmp_path / "without.snap"
-        save_snapshot(grid10, without, version=2)
-        assert snapshot_info(without)["sections"] == {}
+        drop_accelerators(grid10)  # shared fixture: earlier tests attach
+        save_snapshot(grid10, without)
+        assert set(snapshot_info(without)["sections"]) == {"core", "csr"}
 
     def test_truncated_ch_section_raises_typed_error(
         self, tmp_path, contracted
     ):
         buffer = io.BytesIO()
-        save_snapshot(contracted, buffer, version=2)
+        save_snapshot(contracted, buffer)
         payload = buffer.getvalue()
         path = tmp_path / "cut.snap"
-        # Cut into the middle of the CH payload (the file's tail).
+        # Cut into the CH arrays (the file's tail).
         path.write_bytes(payload[: len(payload) - 1000])
         with pytest.raises(SnapshotError, match="truncated"):
             load_snapshot(path)
@@ -226,32 +263,29 @@ class TestChSections:
 
     def test_unknown_section_tags_are_skipped(self, tmp_path, contracted):
         buffer = io.BytesIO()
-        save_snapshot(contracted, buffer, version=2)
+        save_snapshot(contracted, buffer)
         payload = bytearray(buffer.getvalue())
-        # Rewrite the CH tag (first CHI1 occurrence: the section
-        # header) to an unknown tag; the loader must hop over the
-        # payload by its length and return the un-accelerated network.
-        tag_at = payload.find(b"CHI1")
-        assert tag_at != -1
-        payload[tag_at : tag_at + 4] = b"ZZZ9"
+        # Rename the CH anchor array to a name this build does not
+        # know; the loader ignores it and returns the network without
+        # a hierarchy.
+        at, _offset, _nbytes = _entry(payload, b"ch.rank")
+        payload[at : at + 7] = b"zz.rank"
         path = tmp_path / "unknown.snap"
         path.write_bytes(bytes(payload))
         restored = load_snapshot(path)
         assert restored.num_nodes == contracted.num_nodes
-        assert attached_csr(restored) is None
+        assert ensure_csr(restored).hierarchy is None
         info = snapshot_info(path)
-        assert set(info["sections"]) == {"ZZZ9"}
+        assert {"zz", "ch"} <= set(info["sections"])
 
     def test_corrupt_ch_payload_raises_typed_error(
         self, tmp_path, contracted
     ):
         buffer = io.BytesIO()
-        save_snapshot(contracted, buffer, version=2)
+        save_snapshot(contracted, buffer)
         payload = bytearray(buffer.getvalue())
-        tag_at = payload.find(b"CHI1")
-        # Poison the rank array (first section field after the arc
-        # count) with an out-of-range node rank.
-        rank_at = tag_at + 4 + 8 + 8
+        # Poison the rank array with an out-of-range node rank.
+        _at, rank_at, _nbytes = _entry(payload, b"ch.rank")
         payload[rank_at : rank_at + 8] = struct.pack("<q", -12345)
         path = tmp_path / "corrupt.snap"
         path.write_bytes(bytes(payload))
@@ -282,8 +316,7 @@ class TestV3Snapshots:
         path = tmp_path / "grid.snap"
         save_snapshot(grid10, path)
         restored = load_snapshot(path)
-        csr = attached_csr(restored)
-        assert csr is not None
+        csr = ensure_csr(restored)
         reference = ensure_csr(grid10)
         assert list(csr.fwd_targets) == list(reference.fwd_targets)
         assert list(csr.fwd_offsets) == list(reference.fwd_offsets)
@@ -306,8 +339,8 @@ class TestV3Snapshots:
             lambda *a, **k: pytest.fail("v3 load rebuilt landmarks"),
         )
         restored = load_snapshot(path)
-        csr = attached_csr(restored)
-        original = attached_csr(accelerated)
+        csr = ensure_csr(restored)
+        original = ensure_csr(accelerated)
         assert csr.landmarks is not None
         assert tuple(csr.landmarks.landmarks) == original.landmarks.landmarks
         assert csr.landmarks.seed == original.landmarks.seed
@@ -323,8 +356,6 @@ class TestV3Snapshots:
 
     def test_map_snapshot_is_zero_copy(self, tmp_path, accelerated):
         import mmap as mmap_module
-
-        from repro.graph.csr import map_snapshot
 
         path = tmp_path / "acc.snap"
         save_snapshot(accelerated, path)
@@ -351,8 +382,6 @@ class TestV3Snapshots:
         """Regression: two maps of one file must be MAP_SHARED — the
         kernel then backs both with the same page-cache pages (no
         double RSS), which is the whole point of the mmap path."""
-        from repro.graph.csr import map_snapshot
-
         path = tmp_path / "grid.snap"
         save_snapshot(grid10, path)
         snap_a = map_snapshot(path)
@@ -372,8 +401,6 @@ class TestV3Snapshots:
     ):
         import mmap as mmap_module
 
-        from repro.graph.csr import map_snapshot
-
         path = tmp_path / "grid.snap"
         save_snapshot(grid10, path)
         data = path.read_bytes()
@@ -390,16 +417,16 @@ class TestV3Snapshots:
         assert copied.num_nodes == grid10.num_nodes
 
     def test_map_snapshot_rejects_v2_files(self, tmp_path, grid10):
-        from repro.graph.csr import map_snapshot
-
+        buffer = io.BytesIO()
+        save_snapshot(grid10, buffer)
+        payload = bytearray(buffer.getvalue())
+        struct.pack_into("<H", payload, 4, 2)  # the header's version
         path = tmp_path / "grid2.snap"
-        save_snapshot(grid10, path, version=2)
-        with pytest.raises(SnapshotError, match="not mmap-able"):
+        path.write_bytes(bytes(payload))
+        with pytest.raises(SnapshotError, match="repro snapshot build"):
             map_snapshot(path)
 
     def test_map_snapshot_rejects_empty_file(self, tmp_path):
-        from repro.graph.csr import map_snapshot
-
         path = tmp_path / "empty.snap"
         path.write_bytes(b"")
         with pytest.raises(SnapshotError):
@@ -417,8 +444,8 @@ class TestV3Snapshots:
         assert at != -1
         payload[at : at + 9] = b"alt.zzzzz"
         restored = load_snapshot(bytes(payload))
-        csr = attached_csr(restored)
-        assert csr is not None and csr.landmarks is None
+        csr = ensure_csr(restored)
+        assert csr.landmarks is None
         assert csr.hierarchy is not None
         # Trailing growth-room bytes after the last payload are fine.
         payload.extend(b"\x00" * 64)
@@ -426,8 +453,6 @@ class TestV3Snapshots:
             accelerated.num_nodes
 
     def test_misaligned_directory_offset_raises(self, tmp_path, grid10):
-        from repro.graph.csr import _DIR_ENTRY
-
         buffer = io.BytesIO()
         save_snapshot(grid10, buffer)
         payload = bytearray(buffer.getvalue())
@@ -456,3 +481,32 @@ class TestV3Snapshots:
         assert info["version"] == 3
         assert set(info["sections"]) == {"core", "csr", "alt", "ch"}
         assert all(size > 0 for size in info["sections"].values())
+
+    @pytest.mark.parametrize(
+        "array_name, index, value",
+        [
+            (b"csr.fwd_tgt", 3, 10 ** 6),  # a head past the last node
+            (b"csr.fwd_eid", 3, 10 ** 6),  # an edge id past the last edge
+            (b"csr.fwd_tgt", 0, 5),  # node 0 -> 5: a road that is not there
+            (b"csr.bwd_tgt", 0, 5),
+            (b"csr.fwd_eid", 0, 1),  # a valid edge id listed twice
+            (b"csr.bwd_wt", 0, 1.0),  # a weight that is not edge.time
+            (b"csr.fwd_off", 1, 1),  # arcs regrouped onto the wrong node
+        ],
+    )
+    def test_csr_arcs_must_match_the_edge_arrays(
+        self, tmp_path, array_name, index, value
+    ):
+        """Regression: corrupt CSR arcs used to load silently, then
+        raise a bare IndexError or route over a non-existent road."""
+        from repro.graph.builder import grid_network
+
+        buffer = io.BytesIO()
+        save_snapshot(grid_network(4, 4), buffer)
+        payload = bytearray(buffer.getvalue())
+        _at, offset, _nbytes = _entry(payload, array_name)
+        code = "<d" if isinstance(value, float) else "<q"
+        struct.pack_into(code, payload, offset + 8 * index, value)
+        for reader in (load_snapshot, map_snapshot):
+            with pytest.raises(SnapshotError, match=array_name.decode()):
+                reader(bytes(payload))

@@ -21,11 +21,7 @@ from hypothesis import strategies as st
 from repro.algorithms.dijkstra import dijkstra
 from repro.core.ch import build_hierarchy, ensure_hierarchy
 from repro.graph.builder import RoadNetworkBuilder
-from repro.graph.csr import (
-    attached_csr,
-    load_snapshot,
-    save_snapshot,
-)
+from repro.graph.csr import ensure_csr, load_snapshot, save_snapshot
 
 
 @st.composite
@@ -110,8 +106,8 @@ def test_snapshot_round_trips_hierarchy_losslessly(network, pair):
     buffer.seek(0)
     restored = load_snapshot(buffer)
 
-    csr = attached_csr(restored)
-    assert csr is not None and csr.hierarchy is not None
+    csr = ensure_csr(restored)
+    assert csr.hierarchy is not None
     clone = csr.hierarchy
     assert clone.num_arcs == hierarchy.num_arcs
     assert clone.num_shortcuts == hierarchy.num_shortcuts

@@ -31,7 +31,6 @@ from repro.core.alt import (
 from repro.graph.builder import RoadNetworkBuilder
 from repro.graph.csr import (
     csr_dijkstra,
-    detach_csr,
     ensure_csr,
     load_snapshot,
     save_snapshot,
@@ -100,13 +99,10 @@ class TestCsrKernelEquivalence:
         """dist and parent_edge equal the pure kernel's, both ways."""
         root, _ = pick_pair(network, raw)
         csr = ensure_csr(network)
-        try:
-            pure = dijkstra(network, root, forward=forward)
-            flat = csr_dijkstra(network, csr, root, forward=forward)
-            assert flat.dist == pure.dist
-            assert flat.parent_edge == pure.parent_edge
-        finally:
-            detach_csr(network)
+        pure = dijkstra(network, root, forward=forward)
+        flat = csr_dijkstra(network, csr, root, forward=forward)
+        assert flat.dist == pure.dist
+        assert flat.parent_edge == pure.parent_edge
 
     @common_settings
     @given(road_networks(), query, st.integers(min_value=0, max_value=9999))
@@ -116,13 +112,10 @@ class TestCsrKernelEquivalence:
         rng = random.Random(f"csr-weights:{wseed}")
         weights = [rng.uniform(0.0, 100.0) for _ in range(network.num_edges)]
         csr = ensure_csr(network)
-        try:
-            pure = dijkstra(network, root, weights=weights)
-            flat = csr_dijkstra(network, csr, root, weights=weights)
-            assert flat.dist == pure.dist
-            assert flat.parent_edge == pure.parent_edge
-        finally:
-            detach_csr(network)
+        pure = dijkstra(network, root, weights=weights)
+        flat = csr_dijkstra(network, csr, root, weights=weights)
+        assert flat.dist == pure.dist
+        assert flat.parent_edge == pure.parent_edge
 
     @common_settings
     @given(road_networks(), query)
@@ -130,12 +123,9 @@ class TestCsrKernelEquivalence:
         """Early-exit trees agree with the full tree at the target."""
         s, t = pick_pair(network, raw)
         csr = ensure_csr(network)
-        try:
-            full = dijkstra(network, s)
-            pruned = csr_dijkstra(network, csr, s, target=t)
-            assert pruned.distance(t) == pytest.approx(full.distance(t))
-        finally:
-            detach_csr(network)
+        full = dijkstra(network, s)
+        pruned = csr_dijkstra(network, csr, s, target=t)
+        assert pruned.distance(t) == pytest.approx(full.distance(t))
 
 
 class TestAltProperties:
@@ -145,19 +135,16 @@ class TestAltProperties:
         """h(v) <= dist(v, t) for every v that can reach the target."""
         _, target = pick_pair(network, raw)
         csr = ensure_csr(network)
-        try:
-            table = build_landmarks(network, count=4, seed=0)
-            h = table.potential(target)
-            to_target = csr_dijkstra(network, csr, target, forward=False)
-            for v in range(network.num_nodes):
-                d = to_target.dist[v]
-                if d == math.inf:
-                    continue
-                assert h(v) <= d + 1e-9, (
-                    f"inadmissible bound at node {v}: h={h(v)} > dist={d}"
-                )
-        finally:
-            detach_csr(network)
+        table = build_landmarks(network, count=4, seed=0)
+        h = table.potential(target)
+        to_target = csr_dijkstra(network, csr, target, forward=False)
+        for v in range(network.num_nodes):
+            d = to_target.dist[v]
+            if d == math.inf:
+                continue
+            assert h(v) <= d + 1e-9, (
+                f"inadmissible bound at node {v}: h={h(v)} > dist={d}"
+            )
 
     @common_settings
     @given(road_networks(), query)
@@ -166,14 +153,11 @@ class TestAltProperties:
         s, t = pick_pair(network, raw)
         ensure_landmarks(network, count=4)
         csr = ensure_csr(network)
-        try:
-            nodes = alt_shortest_path_nodes(network, csr, s, t)
-            assert nodes[0] == s and nodes[-1] == t
-            assert network.path_travel_time(nodes) == pytest.approx(
-                dijkstra(network, s, target=t).distance(t)
-            )
-        finally:
-            detach_csr(network)
+        nodes = alt_shortest_path_nodes(network, csr, s, t)
+        assert nodes[0] == s and nodes[-1] == t
+        assert network.path_travel_time(nodes) == pytest.approx(
+            dijkstra(network, s, target=t).distance(t)
+        )
 
 
 class TestSnapshotRoundTrip:

@@ -1,4 +1,4 @@
-"""Property-based tests for zero-copy v3 snapshot mapping.
+"""Property-based tests for zero-copy snapshot mapping.
 
 Fuzzed counterparts of ``tests/graph/test_csr.py::TestV3Snapshots``:
 on randomly generated strongly connected networks,
@@ -7,12 +7,14 @@ on randomly generated strongly connected networks,
   node and edge attribute losslessly, with every CSR array a
   ``memoryview`` over the shared mapping (zero process-private
   copies) and identical shortest-path trees;
-- the same network written at ``version=2`` still loads through the
-  copying path with the same nodes and edges (no format lock-in);
+- the copying loader materialises the same graph as the mapping;
 - corrupting the mapped file's directory — truncation, misaligned
   offsets, bogus typecodes, counts past EOF — always raises the typed
   :class:`~repro.exceptions.SnapshotError`, never a struct error or a
-  silent partial graph.
+  silent partial graph;
+- flipping bytes inside the CSR arrays either leaves the original
+  graph or raises :class:`~repro.exceptions.SnapshotError` — never a
+  view with arcs the edge arrays do not define.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from repro.algorithms.dijkstra import dijkstra
 from repro.exceptions import SnapshotError
 from repro.graph.builder import RoadNetworkBuilder
 from repro.graph.csr import (
+    _DIR_ENTRY,
     SECTION_ALIGNMENT,
     csr_dijkstra,
+    ensure_csr,
     load_snapshot,
     map_snapshot,
     save_snapshot,
@@ -76,6 +80,22 @@ def road_networks(draw):
                 travel_time_s=rng.uniform(1.0, 50.0),
             )
     return builder.build()
+
+
+#: The eight CSR arrays every snapshot carries.
+CSR_ARRAYS = tuple(
+    f"csr.{direction}_{part}"
+    for direction in ("fwd", "bwd")
+    for part in ("off", "tgt", "eid", "wt")
+)
+
+
+def _csr_bytes(csr):
+    return [
+        bytes(memoryview(getattr(csr, f"{direction}_{part}")).cast("B"))
+        for direction in ("fwd", "bwd")
+        for part in ("offsets", "targets", "edge_ids", "weights")
+    ]
 
 
 def _assert_zero_copy(mapped):
@@ -131,10 +151,16 @@ class TestV3RoundTrip:
 
     @common_settings
     @given(road_networks())
-    def test_v2_snapshots_still_load(self, tmp_path_factory, network):
+    def test_v2_snapshots_are_rejected(self, tmp_path_factory, network):
+        """The retired streamed layout: same header, version 2."""
         path = tmp_path_factory.mktemp("mmap-prop-v2") / "net.rprn"
-        save_snapshot(network, path, version=2)
-        _assert_networks_equal(load_snapshot(path), network)
+        save_snapshot(network, path)
+        payload = bytearray(path.read_bytes())
+        struct.pack_into("<H", payload, 4, 2)
+        path.write_bytes(bytes(payload))
+        for reader in (load_snapshot, map_snapshot):
+            with pytest.raises(SnapshotError, match="repro snapshot build"):
+                reader(path)
 
     @common_settings
     @given(road_networks())
@@ -168,6 +194,12 @@ class TestCorruption:
                 node_id, (node_id + 1) % 8,
                 length_m=100.0, travel_time_s=10.0,
             )
+        for _ in range(12):  # chords: nodes with several arcs each way
+            u, v = rng.randrange(8), rng.randrange(8)
+            if u != v:
+                builder.add_edge(
+                    u, v, length_m=150.0, travel_time_s=rng.uniform(5, 20),
+                )
         path = tmp_path / "net.rprn"
         save_snapshot(builder.build(), path)
         return bytearray(path.read_bytes())
@@ -213,6 +245,31 @@ class TestCorruption:
             assert mapped.num_edges == expected_edges
         finally:
             mapped.close()
+
+    @common_settings
+    @given(st.sampled_from(CSR_ARRAYS), st.data())
+    def test_flipped_csr_bytes_load_the_original_or_raise(
+        self, snapshot_bytes, name, data
+    ):
+        """Fuzz single-byte flips inside one CSR array's payload: both
+        readers either return the original view or raise a typed
+        SnapshotError."""
+        expected = _csr_bytes(ensure_csr(load_snapshot(bytes(snapshot_bytes))))
+        at = snapshot_bytes.find(name.encode("ascii").ljust(16, b"\x00"))
+        _name, _code, _count, offset, nbytes = _DIR_ENTRY.unpack_from(
+            snapshot_bytes, at
+        )
+        index = data.draw(st.integers(min_value=0, max_value=nbytes - 1))
+        flip = data.draw(st.integers(min_value=1, max_value=255))
+        corrupted = bytearray(snapshot_bytes)
+        corrupted[offset + index] ^= flip
+        for reader in (load_snapshot, map_snapshot):
+            try:
+                loaded = reader(bytes(corrupted))
+            except SnapshotError:
+                continue
+            network = getattr(loaded, "network", loaded)
+            assert _csr_bytes(ensure_csr(network)) == expected
 
     def test_misaligned_offset_is_typed(self, snapshot_bytes):
         # Bump the first directory entry's offset off the 64-byte
