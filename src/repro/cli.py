@@ -91,12 +91,8 @@ def _cmd_snapshot_info(args) -> int:
     info = snapshot_info(args.path)
     for key in ("name", "version", "num_nodes", "num_edges", "file_bytes"):
         print(f"{key}: {info[key]}")
-    sections = info["sections"]
-    if sections:
-        for name, size in sorted(sections.items()):
-            print(f"section {name}: {size} bytes")
-    else:
-        print("sections: none")
+    for name, size in sorted(info["sections"].items()):
+        print(f"section {name}: {size} bytes")
     return 0
 
 
