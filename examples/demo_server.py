@@ -11,6 +11,7 @@ then open http://127.0.0.1:8080/ in a browser.
 """
 
 import argparse
+import logging
 
 from repro import default_planners, melbourne
 from repro.demo import DemoServer, QueryProcessor, ResponseStore
@@ -28,6 +29,7 @@ def main() -> None:
         help="SQLite file for submitted ratings (default: in-memory)",
     )
     args = parser.parse_args()
+    logging.basicConfig(level=logging.INFO)  # one log line per request
 
     print(f"building melbourne ({args.size}) ...")
     network = melbourne(size=args.size)
@@ -36,7 +38,6 @@ def main() -> None:
         processor,
         store=ResponseStore(args.db),
         port=args.port,
-        verbose=True,
     )
     print(f"demo running at {server.url} — Ctrl-C to stop")
     server.serve_forever()

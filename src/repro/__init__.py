@@ -17,10 +17,11 @@ The library ships four layers, each usable on its own:
   full 237-response user-study simulation behind Tables 1-3.
 * **Demo system** — :mod:`repro.demo`: the paper's web demo (query
   processor, blinded A-D display, SQLite feedback store) as an offline
-  ``http.server`` app.
+  web app on the serving layer's asyncio HTTP front end.
 * **Serving layer** — :mod:`repro.serving`: the production route
   service over the study planners (LRU route cache, concurrent planner
-  fan-out with timeouts, graceful degradation, ``/metrics``).
+  fan-out with timeouts, graceful degradation, ``/metrics``, per-city
+  shard workers and the one HTTP front end).
 * **Observability** — :mod:`repro.observability`: per-query tracing
   that survives the planner thread pool, structured (JSON) logging
   with trace correlation, planner search counters, and Prometheus

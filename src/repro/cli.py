@@ -153,9 +153,8 @@ def _load_batch_queries(path: str) -> List:
     either four-element ``[slat, slon, tlat, tlon]`` arrays or
     versioned :class:`~repro.serving.RouteRequest` objects
     (``{"version": 1, "source_lat": ..., ...}`` with optional
-    ``"approaches"`` / ``"k"`` / ``"backend"``).  The webapp's legacy
-    nested ``{"source": {"lat", "lon"}, ...}`` objects still parse,
-    with a deprecation warning.
+    ``"approaches"`` / ``"k"`` / ``"backend"``), the same flat shape
+    ``POST /api/route`` takes.
     """
     from repro.exceptions import QueryError
     from repro.serving import RouteQuery, RouteRequest
@@ -360,7 +359,6 @@ def _cmd_demo(args) -> int:
         processor,
         store=ResponseStore(args.db),
         port=args.port,
-        verbose=True,
         service=service,
     )
     print(f"demo running at {server.url} — Ctrl-C to stop")
@@ -711,17 +709,23 @@ def _shard_specs(args):
 
 
 def _cmd_serve(args) -> int:
+    import signal
+
     from repro.serving.frontend import ShardFrontend
     from repro.serving.shard import ShardRouter
 
     specs = _shard_specs(args)
     with ShardRouter(specs) as router:
+        frontend = ShardFrontend(router)
+        host, port = frontend.bind(args.host, args.port)
         print(
             f"serving {len(router.cities)} shard(s) "
-            f"({', '.join(router.cities)}) on "
-            f"http://{args.host}:{args.port}"
+            f"({', '.join(router.cities)}) on http://{host}:{port}",
+            flush=True,
         )
-        ShardFrontend(router).run_forever(args.host, args.port)
+        # SIGTERM stops like Ctrl-C, so the workers are shut down too.
+        signal.signal(signal.SIGTERM, lambda *_: frontend.shutdown())
+        frontend.serve_forever()
     return 0
 
 

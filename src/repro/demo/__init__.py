@@ -6,8 +6,9 @@ Three components, mirroring the paper's architecture:
 * the **query processor** (:mod:`repro.demo.query_processor`) matches
   clicked coordinates to vertices, runs the four blinded approaches and
   re-prices every route on OSM data in whole minutes;
-* the **user interface** (:mod:`repro.demo.webapp`) is a
-  stdlib-``http.server`` web app serving a canvas map; route geometry
+* the **user interface** (:mod:`repro.demo.webapp`) is a web app on
+  the asyncio front end (:mod:`repro.serving.frontend`) serving a
+  canvas map; route geometry
   travels as GeoJSON and encoded polylines
   (:mod:`repro.demo.rendering`), and submitted feedback lands in an
   SQLite store (:mod:`repro.demo.storage`).

@@ -1,10 +1,12 @@
 """The demo web application (paper Figures 2-3, offline edition).
 
-A dependency-free ``http.server`` app: the single HTML page draws the
-road network on a canvas, lets the user drop source/target markers,
-shows the four blinded approaches' routes in different colors with
-travel times in minutes, and submits the 1-5 rating form into the
-SQLite response store.
+A dependency-free web app: the single HTML page draws the road network
+on a canvas, lets the user drop source/target markers, shows the four
+blinded approaches' routes in different colors with travel times in
+minutes, and submits the 1-5 rating form into the SQLite response
+store.  It is served by the same asyncio front end as the sharded
+deployment (:mod:`repro.serving.frontend`), so every shared endpoint
+has one implementation.
 
 Endpoints
 ---------
@@ -13,9 +15,11 @@ Endpoints
 ``POST /api/route``     compute the four route sets for a query
 ``POST /api/feedback``  store a rating-form submission
 ``GET  /api/stats``     response counts and mean ratings per label
+``GET  /api/table``     the rating table over the stored responses
+``GET  /api/isochrone`` reachability within a time budget
 ``GET  /metrics``       serving-layer counters, latencies and cache stats
-                        (JSON; ``Accept: text/plain`` negotiates the
-                        Prometheus text exposition format)
+                        (JSON; ``Accept: text/plain`` or
+                        ``/metrics/prometheus`` give Prometheus text)
 ``GET  /healthz``       liveness: network, planners, cache, uptime,
                         process RSS, attached accelerator structures
 ``GET  /trace``         recently finished query traces (``?limit=N``)
@@ -23,31 +27,27 @@ Endpoints
                         it by running the service with an enabled
                         profiler, e.g. ``repro demo --profile``)
 
-Routing goes through :class:`repro.serving.RouteService` — cached,
-concurrent, degradation-tolerant — so a single slow or failing planner
-no longer takes the whole query down.  Every ``/api/route`` request is
-wrapped in a ``request`` trace, so the service's ``query`` trace and
-the render span share one trace ID retrievable from ``/trace``.
+Routing goes through :meth:`repro.serving.RouteService.answer` —
+cached, concurrent, degradation-tolerant — so a single slow or failing
+planner no longer takes the whole query down.  Every ``/api/route``
+request is wrapped in a ``request`` trace, so the service's ``query``
+trace and the render span share one trace ID retrievable from
+``/trace``.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.demo.query_processor import QueryProcessor
 from repro.demo.storage import FeedbackRecord, ResponseStore
-from repro.exceptions import ReproError, ServiceOverloadedError
+from repro.exceptions import QueryError
 from repro.observability.logs import get_logger
-from repro.observability.prometheus import (
-    PROMETHEUS_CONTENT_TYPE,
-    render_prometheus,
-)
-from repro.serving.query import RouteRequest
+from repro.observability.prometheus import render_prometheus
+from repro.serving.frontend import Reply, Request, ShardFrontend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.service import RouteService
@@ -247,126 +247,15 @@ fetch('/api/network').then(r => r.json()).then(data => {
 """
 
 
-class _DemoHandler(BaseHTTPRequestHandler):
-    """Request handler; the server instance carries the app state."""
-
-    server: "DemoServer"
-
-    # -- plumbing ---------------------------------------------------------
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send_json(
-        self,
-        payload: Dict,
-        status: int = 200,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_html(self, page: str) -> None:
-        body = page.encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, text: str, content_type: str) -> None:
-        body = text.encode()
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _wants_prometheus(self) -> bool:
-        accept = self.headers.get("Accept", "")
-        return "text/plain" in accept or "openmetrics" in accept
-
-    def _read_json(self) -> Dict:
-        length = int(self.headers.get("Content-Length", "0"))
-        if length <= 0 or length > 1_000_000:
-            raise ValueError("missing or oversized request body")
-        return json.loads(self.rfile.read(length))
-
-    # -- routes ------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        try:
-            if self.path == "/" or self.path == "/index.html":
-                self._send_html(_PAGE)
-            elif self.path == "/api/network":
-                self._send_json(self.server.network_payload())
-            elif self.path == "/api/stats":
-                self._send_json(self.server.stats_payload())
-            elif self.path == "/api/table":
-                self._send_json(self.server.table_payload())
-            elif self.path == "/metrics":
-                payload = self.server.metrics_payload()
-                if self._wants_prometheus():
-                    self._send_text(
-                        render_prometheus(payload),
-                        PROMETHEUS_CONTENT_TYPE,
-                    )
-                else:
-                    self._send_json(payload)
-            elif self.path == "/healthz":
-                self._send_json(self.server.health_payload())
-            elif self.path == "/trace" or self.path.startswith("/trace?"):
-                self._send_json(self.server.trace_payload(self.path))
-            elif self.path == "/debug/profile":
-                self._send_json(self.server.profile_payload())
-            elif self.path.startswith("/api/isochrone"):
-                self._send_json(self.server.isochrone_payload(self.path))
-            else:
-                self._send_json({"error": "not found"}, status=404)
-        except ReproError as exc:
-            self._send_json({"error": str(exc)}, status=400)
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        try:
-            payload = self._read_json()
-        except (ValueError, json.JSONDecodeError) as exc:
-            # Malformed or oversized body: a client error, never a
-            # handler crash; counted so overload/abuse is visible.
-            self.server.count_bad_request()
-            self._send_json({"error": f"bad request: {exc}"}, status=400)
-            return
-        try:
-            if self.path == "/api/route":
-                self._send_json(self.server.handle_route(payload))
-            elif self.path == "/api/feedback":
-                self._send_json(self.server.handle_feedback(payload))
-            else:
-                self._send_json({"error": "not found"}, status=404)
-        except ServiceOverloadedError as exc:
-            # Load shedding: tell the client when to come back.
-            self._send_json(
-                {"error": str(exc), "retry_after_s": exc.retry_after_s},
-                status=503,
-                headers={
-                    "Retry-After": str(max(1, round(exc.retry_after_s)))
-                },
-            )
-        except (
-            ReproError, AttributeError, KeyError, TypeError, ValueError,
-        ) as exc:
-            self.server.count_bad_request()
-            self._send_json({"error": str(exc)}, status=400)
-
-
 class DemoServer:
     """The demo web app, runnable standalone or embedded in tests.
+
+    The demo is a backend of the one asyncio front end
+    (:class:`~repro.serving.frontend.ShardFrontend`): it answers the
+    front end's ``route`` / ``metrics_payload`` / ``prometheus_payload``
+    / ``healthz_payload`` calls through its
+    :class:`~repro.serving.RouteService`, and adds the demo's own
+    endpoints through :meth:`http_routes`.
 
     Parameters
     ----------
@@ -375,9 +264,8 @@ class DemoServer:
     store:
         Feedback storage; defaults to an in-memory SQLite store.
     host, port:
-        Bind address; port 0 lets the OS pick (tests use this).
-    verbose:
-        Log requests to stderr.
+        Bind address, bound at construction so :attr:`url` is known
+        before serving; port 0 lets the OS pick (tests use this).
     service:
         The serving layer to route queries through; defaults to a
         :class:`~repro.serving.RouteService` wrapping ``processor``.
@@ -389,7 +277,6 @@ class DemoServer:
         store: Optional[ResponseStore] = None,
         host: str = "127.0.0.1",
         port: int = 8080,
-        verbose: bool = False,
         service: Optional["RouteService"] = None,
     ) -> None:
         if service is None:
@@ -399,33 +286,15 @@ class DemoServer:
         self.processor = processor
         self.service = service
         self.store = store if store is not None else ResponseStore()
-        self.verbose = verbose
-        self._httpd = ThreadingHTTPServer((host, port), _DemoHandler)
-        # Hand the app state to handlers through the server object.
-        self._httpd.network_payload = self.network_payload  # type: ignore[attr-defined]
-        self._httpd.stats_payload = self.stats_payload  # type: ignore[attr-defined]
-        self._httpd.table_payload = self.table_payload  # type: ignore[attr-defined]
-        self._httpd.metrics_payload = self.metrics_payload  # type: ignore[attr-defined]
-        self._httpd.health_payload = self.health_payload  # type: ignore[attr-defined]
-        self._httpd.trace_payload = self.trace_payload  # type: ignore[attr-defined]
-        self._httpd.profile_payload = self.profile_payload  # type: ignore[attr-defined]
-        self._httpd.isochrone_payload = self.isochrone_payload  # type: ignore[attr-defined]
-        self._httpd.handle_route = self.handle_route  # type: ignore[attr-defined]
-        self._httpd.handle_feedback = self.handle_feedback  # type: ignore[attr-defined]
-        self._httpd.count_bad_request = self.count_bad_request  # type: ignore[attr-defined]
-        self._httpd.verbose = verbose  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
         self._network_cache: Optional[Dict] = None
         self._started_monotonic = time.monotonic()
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port)."""
-        return self._httpd.server_address[:2]
+        self._frontend = ShardFrontend(self)
+        self.address: Tuple[str, int] = self._frontend.bind(host, port)
+        self._thread: Optional[threading.Thread] = None
 
     @property
     def url(self) -> str:
-        """The base URL of the running server."""
+        """The base URL of the server."""
         host, port = self.address
         return f"http://{host}:{port}"
 
@@ -436,7 +305,7 @@ class DemoServer:
         if self._thread is not None:
             return
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True
+            target=self._frontend.serve_forever, daemon=True
         )
         self._thread.start()
         logger.info("demo server listening on %s", self.url)
@@ -445,18 +314,61 @@ class DemoServer:
         """Shut the server down and join the thread."""
         if self._thread is None:
             return
-        self._httpd.shutdown()
+        self._frontend.shutdown()
         self._thread.join()
-        self._httpd.server_close()
         self._thread = None
         self.service.close()
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (Ctrl-C to stop)."""
-        try:
-            self._httpd.serve_forever()
-        except KeyboardInterrupt:
-            self._httpd.server_close()
+        self._frontend.serve_forever()
+
+    # -- the front end's backend calls ----------------------------------------
+
+    def route(self, request, city: Optional[str] = None) -> Dict:
+        """Answer one ``/api/route`` body (``city`` is ignored: one network).
+
+        Served through :meth:`RouteService.answer
+        <repro.serving.service.RouteService.answer>`, the same function
+        a shard worker runs: cached, concurrently planned, and
+        degradation-tolerant — a failed approach appears under
+        ``"errors"`` while the others still render.
+        """
+        out = self.service.answer(request)
+        out["city"] = self.processor.network.name
+        return out
+
+    def metrics_payload(self) -> Dict:
+        """The serving layer's counters, latencies and cache stats."""
+        return self.service.metrics_payload()
+
+    def prometheus_payload(self) -> str:
+        """:meth:`metrics_payload` in the Prometheus text format."""
+        return render_prometheus(self.metrics_payload())
+
+    def count_bad_request(self) -> None:
+        """Count a rejected request in the serving metrics."""
+        self.service.metrics.inc("http.bad_request")
+
+    def http_routes(self) -> Dict[Tuple[str, str], Callable[[Request], object]]:
+        """The demo's endpoints beyond the front end's shared ones."""
+
+        def page(_request: Request) -> Reply:
+            return Reply(200, _PAGE, "text/html; charset=utf-8")
+
+        return {
+            ("GET", "/"): page,
+            ("GET", "/index.html"): page,
+            ("GET", "/api/network"): lambda _r: self.network_payload(),
+            ("GET", "/api/stats"): lambda _r: self.stats_payload(),
+            ("GET", "/api/table"): lambda _r: self.table_payload(),
+            ("GET", "/api/isochrone"): self.isochrone_payload,
+            ("GET", "/trace"): self.trace_payload,
+            ("GET", "/debug/profile"): lambda _r: self.profile_payload(),
+            ("POST", "/api/feedback"): (
+                lambda request: self.handle_feedback(request.json())
+            ),
+        }
 
     # -- handlers ------------------------------------------------------------
 
@@ -494,24 +406,20 @@ class DemoServer:
         }
         return self._network_cache
 
-    def isochrone_payload(self, path: str) -> Dict:
+    def isochrone_payload(self, request: Request) -> Dict:
         """Reachability within a time budget, as a convex outline.
 
         Query string: ``/api/isochrone?lat=..&lon=..&minutes=..``.
-        Raises :class:`~repro.exceptions.ReproError` subclasses for
-        out-of-area points or bad budgets (mapped to HTTP 400).
+        Raises :class:`~repro.exceptions.QueryError` for out-of-area
+        points or bad budgets (mapped to HTTP 400).
         """
-        from urllib.parse import parse_qs, urlparse
-
         from repro.algorithms.isochrone import isochrone
-        from repro.exceptions import QueryError
 
-        query = parse_qs(urlparse(path).query)
         try:
-            lat = float(query["lat"][0])
-            lon = float(query["lon"][0])
-            minutes = float(query.get("minutes", ["10"])[0])
-        except (KeyError, ValueError) as exc:
+            lat = float(request.param("lat"))
+            lon = float(request.param("lon"))
+            minutes = float(request.param("minutes", "10"))
+        except (TypeError, ValueError) as exc:
             raise QueryError(f"bad isochrone query: {exc}") from exc
         source = self.processor.match_vertex(lat, lon)
         iso = isochrone(
@@ -527,34 +435,11 @@ class DemoServer:
             ],
         }
 
-    def handle_route(self, payload: Dict) -> Dict:
-        """Compute the blinded route sets for a source/target request.
-
-        Accepts the versioned flat :class:`RouteRequest` body (the
-        legacy nested shape still parses, with a deprecation warning)
-        and answers with the versioned :class:`RouteResponse` body.
-        Served through the route service: cached, concurrently planned,
-        and degradation-tolerant — a failed approach appears under
-        ``"errors"`` while the others still render.
-        """
-        request = RouteRequest.from_json(payload)
-        with self.service.tracer.trace("request", endpoint="/api/route"):
-            result = self.service.query(request.to_query())
-            return self.service.respond(result).to_json()
-
-    def metrics_payload(self) -> Dict:
-        """The serving layer's counters, latencies and cache stats."""
-        return self.service.metrics_payload()
-
-    def count_bad_request(self) -> None:
-        """Count a rejected request body in the serving metrics."""
-        self.service.metrics.inc("http.bad_request")
-
     def profile_payload(self) -> Dict:
         """The service's aggregated phase tree for ``/debug/profile``."""
         return self.service.profile_payload()
 
-    def health_payload(self) -> Dict:
+    def healthz_payload(self) -> Dict:
         """Liveness and readiness summary for ``/healthz``.
 
         Reports ``"degraded"`` instead of ``"ok"`` while any planner's
@@ -608,17 +493,12 @@ class DemoServer:
             ]
         return payload
 
-    def trace_payload(self, path: str) -> Dict:
+    def trace_payload(self, request: Request) -> Dict:
         """Recently finished traces for ``/trace`` (``?limit=N``)."""
-        from urllib.parse import parse_qs, urlparse
-
-        from repro.exceptions import QueryError
-
-        query = parse_qs(urlparse(path).query)
         limit: Optional[int] = None
-        if "limit" in query:
+        if request.param("limit") is not None:
             try:
-                limit = int(query["limit"][0])
+                limit = int(request.param("limit"))
             except ValueError as exc:
                 raise QueryError(f"bad trace limit: {exc}") from exc
             if limit < 0:
@@ -627,20 +507,22 @@ class DemoServer:
 
     def handle_feedback(self, payload: Dict) -> Dict:
         """Validate and store a rating-form submission."""
-        ratings = {
-            str(label): int(value)
-            for label, value in payload["ratings"].items()
-        }
-        record = FeedbackRecord(
-            source_lat=float(payload["source"]["lat"]),
-            source_lon=float(payload["source"]["lon"]),
-            target_lat=float(payload["target"]["lat"]),
-            target_lon=float(payload["target"]["lon"]),
-            fastest_minutes=float(payload["fastest_minutes"]),
-            resident=bool(payload.get("resident", False)),
-            ratings=ratings,
-            comment=str(payload.get("comment", ""))[:2000],
-        )
+        try:
+            record = FeedbackRecord(
+                source_lat=float(payload["source"]["lat"]),
+                source_lon=float(payload["source"]["lon"]),
+                target_lat=float(payload["target"]["lat"]),
+                target_lon=float(payload["target"]["lon"]),
+                fastest_minutes=float(payload["fastest_minutes"]),
+                resident=bool(payload.get("resident", False)),
+                ratings={
+                    str(label): int(value)
+                    for label, value in payload["ratings"].items()
+                },
+                comment=str(payload.get("comment", ""))[:2000],
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise QueryError(f"bad feedback payload: {exc!r}") from exc
         row_id = self.store.save(record)
         return {"stored": True, "id": row_id}
 

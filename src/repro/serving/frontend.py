@@ -1,32 +1,41 @@
-"""Asyncio HTTP front end over the sharded worker pool.
+"""The one asyncio HTTP front end, for the sharded pool and the demo alike.
 
-One event loop accepts every connection and dispatches requests to the
-per-city worker processes through
-:class:`~repro.serving.shard.ShardRouter`; the blocking queue
-round-trip runs in the loop's default executor so slow shards never
-stall the accept loop or each other.  The surface mirrors the
-single-process webapp where it overlaps:
+One event loop accepts every connection and dispatches each request
+through one ``(method, path)`` route table to a *backend*.  Backend
+calls run in the loop's default executor, so a slow query never
+stalls the accept loop or other requests.  A backend offers five
+calls, which :class:`~repro.serving.shard.ShardRouter` (``repro
+serve``) and :class:`~repro.demo.webapp.DemoServer` (``repro demo``)
+both provide:
 
-``POST /api/route``
-    Body: the flat versioned RouteRequest JSON.  Routed by the source
-    coordinate's containing shard, or pinned with ``?city=<name>``.
-    Worker/typed errors map onto the same status codes the webapp
-    uses — 400 for bad queries, 503 + ``Retry-After`` while a shard is
-    degraded, 502 when the worker died mid-request.
-``GET /metrics``
-    Fleet-wide JSON: every worker registry folded through
-    :meth:`~repro.serving.metrics.MetricsRegistry.merge`, plus a
-    per-shard state block.
-``GET /metrics/prometheus``
-    Same, in Prometheus text format (including shard gauges).
-``GET /healthz``
-    200 while every shard is ready; 503 with the degraded shard list
-    (and each shard's respawn ETA) otherwise — other cities keep
-    serving while one shard recovers.
+``route(body, city=None)``
+    ``POST /api/route``.  Body: the flat versioned RouteRequest JSON,
+    parsed once by :meth:`~repro.serving.query.RouteRequest.from_json`.
+    The answer is the ``RouteResponse`` JSON plus ``city`` and (with
+    live traffic) ``epoch``.  ``?city=<name>`` pins a shard.
+``metrics_payload()`` / ``prometheus_payload()``
+    ``GET /metrics`` as JSON; ``Accept: text/plain`` (or
+    ``openmetrics``) and ``GET /metrics/prometheus`` give the
+    Prometheus text exposition.
+``healthz_payload()``
+    ``GET /healthz``: 503 while the payload lists ``degraded_shards``
+    (a city that cannot serve), 200 otherwise, including an in-process
+    service that is degraded but still serving.
+``count_bad_request()``
+    Called once per 400 reply, so malformed traffic shows in
+    ``/metrics`` as ``http.bad_request``.
 
-The HTTP layer is deliberately tiny (request line + headers +
-content-length body over asyncio streams); it exists so ``repro serve
---shards`` needs no web framework, not to be a general server.
+A backend may add endpoints through ``http_routes()``, a mapping of
+``(method, path)`` to handlers taking a :class:`Request`; the demo adds
+its page, ``/api/network``, ``/api/feedback``, ``/api/stats``,
+``/api/table``, ``/api/isochrone``, ``/trace`` and ``/debug/profile``.
+
+Typed errors map onto status codes in one place: 400 for bad queries,
+503 + ``Retry-After`` while a shard is degraded or the service sheds
+load, 502 when a worker died mid-request, and a logged 500 for
+anything else.  The HTTP layer is deliberately tiny (request line,
+headers and a content-length body over asyncio streams); it exists so
+serving needs no web framework, not to be a general server.
 """
 
 from __future__ import annotations
@@ -34,176 +43,211 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from http import HTTPStatus
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.exceptions import (
     QueryError,
-    ReproError,
     ServiceOverloadedError,
     ShardCrashedError,
+    ShardError,
     ShardUnavailableError,
+    StorageError,
 )
-from repro.serving.shard import ShardRouter
+from repro.observability.prometheus import PROMETHEUS_CONTENT_TYPE
 
 logger = logging.getLogger("repro.serving.frontend")
 
 #: Largest request body accepted (a route request is ~200 bytes).
 MAX_BODY_BYTES = 1 << 20
 
+_JSON = "application/json"
+
+
+@dataclass(frozen=True)
+class Request:
+    """What a handler sees of one HTTP request."""
+
+    query: Mapping[str, List[str]]
+    headers: Mapping[str, str]
+    body: bytes = b""
+
+    def param(self, name: str, default: Optional[str] = None):
+        """The first value of query parameter ``name``."""
+        values = self.query.get(name)
+        return values[0] if values else default
+
+    def json(self) -> Dict:
+        """The body as a JSON object; :class:`QueryError` (400) otherwise."""
+        try:
+            payload = json.loads(self.body.decode("utf-8") or "{}")
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise QueryError(f"request body is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise QueryError("request body must be a JSON object")
+        return payload
+
+
+class Reply(NamedTuple):
+    """One response: a JSON-able payload or a text body."""
+
+    status: int
+    body: object
+    content_type: str = _JSON
+
+
+Handler = Callable[[Request], object]
+
+
+def _error_reply(exc: Exception) -> Reply:
+    """The status code and JSON body for an exception a handler raised."""
+    body: Dict = {"error": str(exc), "type": type(exc).__name__}
+    if isinstance(exc, ShardError):
+        body["city"] = exc.city
+    if isinstance(exc, (ShardUnavailableError, ServiceOverloadedError)):
+        body["retry_after_s"] = exc.retry_after_s
+        return Reply(503, body)
+    if isinstance(exc, ShardCrashedError):
+        return Reply(502, body)
+    if isinstance(exc, (QueryError, StorageError)):
+        return Reply(400, body)
+    logger.error("handler failed", exc_info=exc)
+    return Reply(500, body)
+
 
 class ShardFrontend:
-    """Serve a :class:`ShardRouter` over asyncio HTTP."""
+    """Serve a backend (a :class:`ShardRouter` or the demo) over asyncio HTTP."""
 
-    def __init__(self, router: ShardRouter) -> None:
+    def __init__(self, router) -> None:
         self.router = router
+        self._routes: Dict[Tuple[str, str], Handler] = {
+            ("POST", "/api/route"): self._route,
+            ("GET", "/metrics"): self._metrics,
+            ("GET", "/metrics/prometheus"): self._prometheus,
+            ("GET", "/healthz"): self._healthz,
+        }
+        self._routes.update(getattr(router, "http_routes", dict)())
         self._server: Optional[asyncio.AbstractServer] = None
+        # Open connections, closed by stop(): from Python 3.12 on,
+        # wait_closed() waits for every idle keep-alive client.
+        self._writers: set = set()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
-    # -- request handling ---------------------------------------------------
+    # -- the shared endpoints -----------------------------------------------
 
-    async def handle_route(self, body: Dict, query: Dict) -> Tuple[int, Dict]:
-        city = query.get("city", [None])[0]
-        loop = asyncio.get_running_loop()
-        try:
-            out = await loop.run_in_executor(
-                None, lambda: self.router.route(body, city=city)
-            )
-        except ShardUnavailableError as exc:
-            return 503, {
-                "error": str(exc),
-                "type": "ShardUnavailableError",
-                "city": exc.city,
-                "retry_after_s": exc.retry_after_s,
-            }
-        except ShardCrashedError as exc:
-            return 502, {
-                "error": str(exc),
-                "type": "ShardCrashedError",
-                "city": exc.city,
-            }
-        except ServiceOverloadedError as exc:
-            return 503, {"error": str(exc), "type": type(exc).__name__}
-        except QueryError as exc:
-            return 400, {"error": str(exc), "type": type(exc).__name__}
-        except ReproError as exc:
-            return 500, {"error": str(exc), "type": type(exc).__name__}
+    def _route(self, request: Request) -> Dict:
+        out = self.router.route(request.json(), city=request.param("city"))
         payload = dict(out["response"])
         payload["city"] = out["city"]
         if out.get("epoch") is not None:
             payload["epoch"] = out["epoch"]
-        return 200, payload
+        return payload
 
-    async def handle_metrics(self) -> Tuple[int, Dict]:
-        loop = asyncio.get_running_loop()
-        payload = await loop.run_in_executor(
-            None, self.router.metrics_payload
+    def _metrics(self, request: Request):
+        accept = request.headers.get("accept", "")
+        if "text/plain" in accept or "openmetrics" in accept:
+            return self._prometheus(request)
+        return self.router.metrics_payload()
+
+    def _prometheus(self, request: Request) -> Reply:
+        return Reply(
+            200, self.router.prometheus_payload(), PROMETHEUS_CONTENT_TYPE
         )
-        return 200, payload
 
-    async def handle_healthz(self) -> Tuple[int, Dict]:
+    def _healthz(self, request: Request) -> Reply:
         payload = self.router.healthz_payload()
-        return (200 if payload["status"] == "ok" else 503), payload
+        return Reply(503 if payload.get("degraded_shards") else 200, payload)
 
     # -- the HTTP shim ------------------------------------------------------
 
     async def _client(self, reader, writer) -> None:
+        self._writers.add(writer)
         try:
-            while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    return
-                try:
-                    method, target, _version = (
-                        request_line.decode("latin-1").split(maxsplit=2)
-                    )
-                except ValueError:
-                    await self._reply(
-                        writer, 400, {"error": "malformed request line"}
-                    )
-                    return
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _sep, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0) or 0)
-                if length > MAX_BODY_BYTES:
-                    await self._reply(
-                        writer, 413, {"error": "request body too large"}
-                    )
-                    return
-                raw_body = await reader.readexactly(length) if length else b""
-                status, payload, content_type = await self._dispatch(
-                    method, target, raw_body
-                )
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower()
-                    != "close"
-                )
-                await self._reply(
-                    writer, status, payload,
-                    content_type=content_type, keep_alive=keep_alive,
-                )
-                if not keep_alive:
-                    return
+            while await self._serve_one(reader, writer):
+                pass
         except (
             asyncio.IncompleteReadError, ConnectionError, TimeoutError
         ):
             pass
         finally:
+            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
             except ConnectionError:  # pragma: no cover - teardown race
                 pass
 
-    async def _dispatch(self, method: str, target: str, raw_body: bytes):
-        parts = urlsplit(target)
-        path = parts.path.rstrip("/") or "/"
-        query = parse_qs(parts.query)
-        if method == "POST" and path == "/api/route":
-            try:
-                body = json.loads(raw_body.decode("utf-8") or "{}")
-            except (ValueError, UnicodeDecodeError):
-                return 400, {"error": "request body is not valid JSON"}, None
-            if not isinstance(body, dict):
-                return 400, {"error": "request body must be an object"}, None
-            status, payload = await self.handle_route(body, query)
-            return status, payload, None
-        if method == "GET" and path == "/metrics":
-            status, payload = await self.handle_metrics()
-            return status, payload, None
-        if method == "GET" and path == "/metrics/prometheus":
-            loop = asyncio.get_running_loop()
-            text = await loop.run_in_executor(
-                None, self.router.prometheus_payload
+    async def _serve_one(self, reader, writer) -> bool:
+        """Answer one request; False once the connection should close."""
+        request_line = await reader.readline()
+        if not request_line:
+            return False
+        try:
+            method, target, _version = (
+                request_line.decode("latin-1").split(maxsplit=2)
             )
-            return 200, text, "text/plain; version=0.0.4"
-        if method == "GET" and path == "/healthz":
-            status, payload = await self.handle_healthz()
-            return status, payload, None
-        return 404, {"error": f"no handler for {method} {parts.path}"}, None
+        except ValueError:
+            await self._respond(
+                writer, Reply(400, {"error": "malformed request line"}),
+                keep_alive=False,
+            )
+            return False
+        headers: Dict[str, str] = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _sep, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            reply = Reply(400, {"error": "bad Content-Length header"})
+        elif length > MAX_BODY_BYTES:
+            reply = Reply(413, {"error": "request body too large"})
+        else:
+            body = await reader.readexactly(length) if length else b""
+            keep_alive = headers.get("connection", "").lower() != "close"
+            reply = await self._dispatch(method, target, headers, body)
+            await self._respond(writer, reply, keep_alive)
+            logger.info('"%s %s" %d', method, target, reply.status)
+            return keep_alive
+        # The body was not read, so the connection cannot carry another
+        # request.
+        await self._respond(writer, reply, keep_alive=False)
+        return False
 
-    async def _reply(
-        self, writer, status: int, payload,
-        content_type: Optional[str] = None, keep_alive: bool = True,
-    ) -> None:
+    async def _dispatch(
+        self, method: str, target: str, headers: Dict[str, str], body: bytes
+    ) -> Reply:
+        parts = urlsplit(target)
+        handler = self._routes.get((method, parts.path.rstrip("/") or "/"))
+        if handler is None:
+            return Reply(404, {"error": f"no handler for {method} {parts.path}"})
+        request = Request(parse_qs(parts.query), headers, body)
+        loop = asyncio.get_running_loop()
+        try:
+            out = await loop.run_in_executor(None, handler, request)
+        except Exception as exc:
+            return _error_reply(exc)
+        return out if isinstance(out, Reply) else Reply(200, out)
+
+    async def _respond(self, writer, reply: Reply, keep_alive: bool) -> None:
+        """The one writer of HTTP status lines, headers and bodies."""
+        status, payload, content_type = reply
+        if status == 400:
+            self.router.count_bad_request()
         if isinstance(payload, str):
             body = payload.encode("utf-8")
-            ctype = content_type or "text/plain; charset=utf-8"
         else:
             body = json.dumps(payload).encode("utf-8")
-            ctype = content_type or "application/json"
-        reason = {
-            200: "OK", 400: "Bad Request", 404: "Not Found",
-            413: "Payload Too Large", 502: "Bad Gateway",
-            503: "Service Unavailable",
-        }.get(status, "OK")
         head = [
-            f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {ctype}",
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+            f"Content-Type: {content_type}",
             f"Content-Length: {len(body)}",
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
@@ -219,33 +263,43 @@ class ShardFrontend:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1", port: int = 8081):
-        """Bind and start accepting (router must already be started)."""
+        """Bind and start accepting (the backend must already be serving)."""
         self._server = await asyncio.start_server(self._client, host, port)
-        sockets = self._server.sockets or []
-        bound = sockets[0].getsockname() if sockets else (host, port)
-        logger.info(
-            "shard front end listening on %s:%s (%d shards)",
-            bound[0], bound[1], len(self.router.cities),
-        )
+        bound = self._server.sockets[0].getsockname()
+        logger.info("front end listening on %s:%s", bound[0], bound[1])
         return self._server
 
     async def stop(self) -> None:
+        """Stop accepting, close open connections and wait for them."""
         if self._server is not None:
             self._server.close()
+            for writer in list(self._writers):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
 
-    def run_forever(
-        self, host: str = "127.0.0.1", port: int = 8081
-    ) -> None:
-        """Blocking entry point (``repro serve --shards``)."""
+    def bind(self, host: str, port: int) -> Tuple[str, int]:
+        """Bind on a private event loop; serve later via :meth:`serve_forever`.
 
-        async def _main() -> None:
-            server = await self.start(host, port)
-            async with server:
-                await server.serve_forever()
+        Returns the bound ``(host, port)``, so callers can print the
+        real address of ``port=0`` before serving.
+        """
+        self._loop = asyncio.new_event_loop()
+        server = self._loop.run_until_complete(self.start(host, port))
+        return server.sockets[0].getsockname()[:2]
 
+    def serve_forever(self) -> None:
+        """Run the bound loop on this thread until :meth:`shutdown` or Ctrl-C."""
+        loop = self._loop
         try:
-            asyncio.run(_main())
-        except KeyboardInterrupt:  # pragma: no cover - interactive exit
+            loop.run_forever()
+        except KeyboardInterrupt:
             pass
+        finally:
+            loop.run_until_complete(self.stop())
+            loop.run_until_complete(loop.shutdown_default_executor())
+            loop.close()
+
+    def shutdown(self) -> None:
+        """Make :meth:`serve_forever` return (thread- and signal-safe)."""
+        self._loop.call_soon_threadsafe(self._loop.stop)

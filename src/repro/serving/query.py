@@ -14,28 +14,27 @@ JSON shapes of the ``/api/route`` endpoint and the ``repro batch``
 CLI (:data:`ROUTE_API_VERSION` stamps both).  The request is flat —
 ``{"version": 1, "source_lat": ..., "source_lon": ...,
 "target_lat": ..., "target_lon": ..., "approaches": [...],
-"k": ..., "backend": "..."}`` — and :meth:`RouteRequest.from_json`
-still accepts the original nested ``{"source": {"lat", "lon"},
-"target": {...}}`` shape, warning :class:`DeprecationWarning` so
-callers migrate.  :class:`RouteQuery` remains the in-process query
-object the :class:`~repro.serving.service.RouteService` consumes;
-``RouteRequest.to_query()`` bridges the two.
+"k": ..., "backend": "..."}`` — and :meth:`RouteRequest.from_json` is
+the one parser of route bodies.  :class:`RouteQuery` remains the
+in-process query object the :class:`~repro.serving.service.RouteService`
+consumes; ``RouteRequest.to_query()`` bridges the two.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.backend import validate_backend
 from repro.exceptions import QueryError
-from repro.observability.logs import get_logger
-
-logger = get_logger(__name__)
-
 #: Version stamped into (and accepted from) request/response JSON.
 ROUTE_API_VERSION = 1
+
+#: The request shape named in parse errors.
+_FLAT_SHAPE = (
+    '{"version": 1, "source_lat": ..., "source_lon": ..., '
+    '"target_lat": ..., "target_lon": ...}'
+)
 
 
 @dataclass(frozen=True)
@@ -95,34 +94,6 @@ class RouteQuery:
                 validate_backend(self.backend)
             except Exception as exc:
                 raise QueryError(str(exc)) from exc
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "RouteQuery":
-        """Build a query from the *legacy* ``/api/route`` JSON body.
-
-        Accepts the original ``{"source": {"lat", "lon"}, "target":
-        {...}}`` shape plus the optional ``"approaches"`` list,
-        ``"k"`` integer and ``"backend"`` string.  New code should go
-        through :meth:`RouteRequest.from_json`, which handles both the
-        versioned and this legacy shape.
-        """
-        try:
-            source = payload["source"]
-            target = payload["target"]
-            approaches: Optional[Sequence[str]] = payload.get("approaches")
-            k = payload.get("k")
-            backend = payload.get("backend")
-            return cls(
-                source_lat=float(source["lat"]),
-                source_lon=float(source["lon"]),
-                target_lat=float(target["lat"]),
-                target_lon=float(target["lon"]),
-                approaches=tuple(approaches) if approaches else None,
-                k=int(k) if k is not None else None,
-                backend=backend,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise QueryError(f"bad route query payload: {exc}") from exc
 
 
 def _check_version(payload: Mapping, what: str) -> int:
@@ -186,36 +157,17 @@ class RouteRequest:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "RouteRequest":
-        """Parse a request body, versioned or legacy.
+        """Parse a flat versioned request body.
 
-        The flat versioned shape is authoritative.  The original
-        nested ``{"source": {"lat", "lon"}, "target": {...}}`` shape
-        is still accepted — converted field-for-field — but emits a
-        :class:`DeprecationWarning` (and a log warning) so callers
-        migrate to the versioned body.
+        The one parser of route bodies: a missing or malformed field
+        raises :class:`QueryError` naming the flat shape, so the
+        retired nested ``{"source": {"lat", "lon"}, ...}`` body is
+        rejected too.
         """
         if not isinstance(payload, Mapping):
             raise QueryError(
                 f"route request must be a JSON object, got "
                 f"{type(payload).__name__}"
-            )
-        if "source" in payload or "target" in payload:
-            message = (
-                "nested {'source': {'lat', 'lon'}, ...} route payloads are "
-                "deprecated; send the flat versioned shape "
-                "{'version': 1, 'source_lat': ..., ...} instead"
-            )
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-            logger.warning(message)
-            query = RouteQuery.from_payload(payload)
-            return cls(
-                source_lat=query.source_lat,
-                source_lon=query.source_lon,
-                target_lat=query.target_lat,
-                target_lon=query.target_lon,
-                approaches=query.approaches,
-                k=query.k,
-                backend=query.backend,
             )
         _check_version(payload, "route request")
         try:
@@ -230,7 +182,12 @@ class RouteRequest:
                 k=int(k) if k is not None else None,
                 backend=payload.get("backend"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise QueryError(
+                f"route request lacks {exc}; send the flat shape "
+                f"{_FLAT_SHAPE}"
+            ) from None
+        except (TypeError, ValueError) as exc:
             raise QueryError(f"bad route request payload: {exc}") from exc
         request.to_query()  # validate eagerly, with the query's errors
         return request

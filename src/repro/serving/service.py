@@ -70,7 +70,11 @@ from repro.exceptions import (
 from repro.graph.network import RoadNetwork, active_epoch, epoch_scope
 from repro.observability.logs import get_logger
 from repro.observability.profiling import Profiler, phase, profiling_scope
-from repro.observability.querylog import QueryLog, build_query_record
+from repro.observability.querylog import (
+    QueryLog,
+    build_query_record,
+    result_fingerprints,
+)
 from repro.observability.tracing import (
     Tracer,
     current_span,
@@ -82,7 +86,7 @@ from repro.serving.cache import (
 )
 from repro.serving.live import LiveTrafficController, TrafficEvent
 from repro.serving.metrics import MetricsRegistry
-from repro.serving.query import RouteQuery, RouteResponse
+from repro.serving.query import RouteQuery, RouteRequest, RouteResponse
 from repro.serving.resilience import (
     CIRCUIT_CLOSED,
     CircuitBreaker,
@@ -663,6 +667,26 @@ class RouteService:
             degraded=payload["degraded"],
             cache_hits=payload["cache_hits"],
         )
+
+    def answer(self, request) -> Dict:
+        """Answer one ``/api/route`` request, the same way in every deployment.
+
+        ``request`` is a :class:`~repro.serving.query.RouteRequest` or
+        its JSON body (parsed here; a malformed body raises
+        :class:`QueryError`).  The query runs inside a ``request``
+        trace.  Returns ``{"response", "fingerprints", "epoch"}``:
+        the versioned response JSON, each label's route-set
+        fingerprint, and the live-traffic epoch (None without one).
+        """
+        if not isinstance(request, RouteRequest):
+            request = RouteRequest.from_json(request)
+        with self.tracer.trace("request", endpoint="/api/route"):
+            result = self.query(request.to_query())
+            return {
+                "response": self.respond(result).to_json(),
+                "fingerprints": result_fingerprints(result),
+                "epoch": self.active_epoch_id(),
+            }
 
     def metrics_payload(self) -> Dict:
         """Counters, histograms, cache, circuits and admission stats."""

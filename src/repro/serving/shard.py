@@ -22,9 +22,9 @@ owning a request/reply :class:`multiprocessing.Queue` pair.  The
 parent-side :class:`ShardHandle` tags every request with an id,
 parks a future per id, and a dispatcher thread resolves futures as
 replies arrive.  Payloads crossing the boundary are the JSON wire
-shapes (:class:`~repro.serving.query.RouteRequest` /
-``RouteResponse.to_json()`` plus result fingerprints) — never pickled
-route sets, which would drag whole networks through the pipe.
+shapes (a parsed :class:`~repro.serving.query.RouteRequest` in,
+``RouteResponse.to_json()`` plus result fingerprints out) — never
+pickled route sets, which would drag whole networks through the pipe.
 
 Failure is per-shard: a worker crash fails that shard's in-flight
 requests with :class:`~repro.exceptions.ShardCrashedError`, marks the
@@ -65,6 +65,7 @@ from repro.exceptions import (
     ShardUnavailableError,
 )
 from repro.serving.metrics import MetricsRegistry
+from repro.serving.query import RouteRequest
 
 logger = logging.getLogger("repro.serving.shard")
 
@@ -186,8 +187,6 @@ def _worker_main(spec: ShardSpec, requests, replies) -> None:
         )
         return
 
-    from repro.observability.querylog import result_fingerprints
-    from repro.serving.query import RouteRequest
     from repro.traffic.stream import TrafficUpdateBatch
 
     replies.put(
@@ -214,13 +213,7 @@ def _worker_main(spec: ShardSpec, requests, replies) -> None:
             return
         try:
             if op == "route":
-                request = RouteRequest.from_json(payload)
-                result = service.query(request.to_query())
-                out = {
-                    "response": service.respond(result).to_json(),
-                    "fingerprints": result_fingerprints(result),
-                    "epoch": service.active_epoch_id(),
-                }
+                out = service.answer(payload)
             elif op == "ingest":
                 if service.live is None:
                     raise ConfigurationError(
@@ -574,8 +567,8 @@ class ShardRouter:
     (live traffic into one shard), and the fleet-wide aggregations
     :meth:`metrics_payload` / :meth:`healthz_payload` /
     :meth:`prometheus_payload`.  The asyncio front end
-    (:class:`repro.serving.frontend.ShardFrontend`) wraps these in an
-    executor; tests and the load generator drive them directly.
+    (:class:`repro.serving.frontend.ShardFrontend`) serves these over
+    HTTP; tests and the load generator drive them directly.
     """
 
     def __init__(
@@ -615,6 +608,9 @@ class ShardRouter:
             for spec in specs
         }
         self._started = False
+        # Parent-side counters (the front end's http.bad_request),
+        # folded into the fleet metrics.
+        self._local_metrics = MetricsRegistry()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -678,17 +674,16 @@ class ShardRouter:
         """Serve one route request on its city shard.
 
         ``request`` is a :class:`~repro.serving.query.RouteRequest` or
-        its JSON dict.  Returns ``{"city", "response", "fingerprints",
-        "epoch"}`` where ``response`` is the worker's
-        ``RouteResponse.to_json()`` payload.
+        its JSON body, which is parsed here, once, before routing (a
+        malformed body raises :class:`QueryError`).  Returns ``{"city",
+        "response", "fingerprints", "epoch"}`` where ``response`` is the
+        worker's ``RouteResponse.to_json()`` payload.
         """
-        payload = request if isinstance(request, Mapping) \
-            else request.to_json()
+        if not isinstance(request, RouteRequest):
+            request = RouteRequest.from_json(request)
         if city is None:
-            city = self.resolve_city(
-                payload["source_lat"], payload["source_lon"]
-            )
-        out = self.handle(city).request("route", dict(payload), timeout_s)
+            city = self.resolve_city(request.source_lat, request.source_lon)
+        out = self.handle(city).request("route", request, timeout_s)
         out["city"] = city
         return out
 
@@ -733,7 +728,7 @@ class ShardRouter:
         cover the union stream — plus a ``shards`` block with each
         shard's serving state and its worker's full local payload.
         """
-        merged = MetricsRegistry()
+        merged = MetricsRegistry().merge(self._local_metrics)
         shards: Dict[str, Dict] = {}
         polled = self._poll_ready("metrics")
         for city, handle in sorted(self._handles.items()):
@@ -746,6 +741,10 @@ class ShardRouter:
         payload = merged.snapshot()
         payload["shards"] = shards
         return payload
+
+    def count_bad_request(self) -> None:
+        """Count a request the front end rejected with 400."""
+        self._local_metrics.inc("http.bad_request")
 
     def healthz_payload(self) -> Dict:
         """Fleet health: degraded if any shard is not ready."""

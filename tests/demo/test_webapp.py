@@ -99,14 +99,18 @@ class TestRouteEndpoint:
         for collection in payload["routes"].values():
             assert collection["features"]
 
-    def test_legacy_nested_payload_still_accepted(self, server):
-        # The pre-versioning nested shape must keep working (it emits
-        # a DeprecationWarning server-side; the wire tests pin that).
+    def test_legacy_nested_payload_rejected(self, server):
+        # The pre-versioning nested shape is retired: a typed 400 that
+        # names the flat shape.
         source, target = corner_points(server)
-        payload = post_json(
-            server, "/api/route", {"source": source, "target": target}
-        )
-        assert set(payload["routes"]) == {"A", "B", "C", "D"}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_json(
+                server, "/api/route", {"source": source, "target": target}
+            )
+        assert excinfo.value.code == 400
+        body = json.load(excinfo.value)
+        assert body["type"] == "QueryError"
+        assert "source_lat" in body["error"]
 
     def test_malformed_body_rejected(self, server):
         request = urllib.request.Request(

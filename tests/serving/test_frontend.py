@@ -18,6 +18,7 @@ from concurrent.futures import Future
 import pytest
 
 from repro.exceptions import (
+    ConfigurationError,
     ServiceOverloadedError,
     ShardCrashedError,
     ShardUnavailableError,
@@ -212,15 +213,95 @@ class TestShardFailures:
         assert headers["Retry-After"] == "2"
         assert json.loads(body)["retry_after_s"] == 1.5
 
-    def test_overloaded_shard_is_503(self, served):
+    def test_overloaded_shard_is_503_with_retry_after(self, served):
         served.handles["melbourne"].fail_with = ServiceOverloadedError(
             4, 4, retry_after_s=2.0
         )
-        status, _reason, _headers, body = served.call(
+        status, _reason, headers, body = served.call(
             "POST", "/api/route", ROUTE
         )
         assert status == 503
-        assert "overloaded" in json.loads(body)["error"]
+        assert headers["Retry-After"] == "2"
+        payload = json.loads(body)
+        assert "overloaded" in payload["error"]
+        assert payload["retry_after_s"] == 2.0
+
+
+class TestMalformedRequests:
+    """Every malformed request gets a reply; none drops the connection."""
+
+    @pytest.mark.parametrize("length", [b"-1", b"abc"])
+    def test_bad_content_length_is_400(self, served, length):
+        raw = served.raw(
+            b"POST /api/route HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n{}"
+        )
+        assert status_of(raw) == 400
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {},
+            dict(ROUTE, source_lat="north"),
+            {key: value for key, value in ROUTE.items() if key != "target_lon"},
+            {
+                "source": {"lat": -37.81, "lon": 144.96},
+                "target": {"lat": -37.79, "lon": 144.99},
+            },
+        ],
+        ids=["empty", "string-coordinate", "missing-field", "nested"],
+    )
+    def test_bad_route_body_is_a_typed_400(self, served, body):
+        status, _reason, _headers, reply = served.call(
+            "POST", "/api/route", body
+        )
+        assert status == 400
+        payload = json.loads(reply)
+        assert payload["type"] == "QueryError"
+        assert served.handles["melbourne"].routed == []
+
+    def test_nested_body_error_names_the_flat_shape(self, served):
+        _status, _reason, _headers, reply = served.call(
+            "POST", "/api/route",
+            {"source": {"lat": -37.81, "lon": 144.96}, "target": {}},
+        )
+        assert "source_lat" in json.loads(reply)["error"]
+
+    def test_bad_requests_are_counted(self, served):
+        served.call("POST", "/api/route", b"{not json")
+        served.call("POST", "/api/route", {})
+        _status, _reason, _headers, body = served.call("GET", "/metrics")
+        assert json.loads(body)["counters"]["http.bad_request"] == 2
+
+    def test_unexpected_handler_error_is_a_logged_500(self, served, caplog):
+        served.handles["melbourne"].fail_with = RuntimeError("boom")
+        with caplog.at_level("ERROR", logger="repro.serving.frontend"):
+            status, reason, _headers, body = served.call(
+                "POST", "/api/route", ROUTE
+            )
+        assert (status, reason) == (500, "Internal Server Error")
+        assert json.loads(body)["type"] == "RuntimeError"
+        assert "boom" in caplog.text
+
+    def test_library_error_is_500_with_its_own_reason(self, served):
+        served.handles["melbourne"].fail_with = ConfigurationError("bad")
+        status, reason, _headers, _body = served.call(
+            "POST", "/api/route", ROUTE
+        )
+        assert (status, reason) == (500, "Internal Server Error")
+
+    def test_connection_survives_a_rejected_body(self, served):
+        conn = served.connect()
+        try:
+            conn.request("POST", "/api/route", body="{}")
+            first = conn.getresponse()
+            first.read()
+            conn.request("POST", "/api/route", body=json.dumps(ROUTE))
+            second = conn.getresponse()
+            second.read()
+        finally:
+            conn.close()
+        assert (first.status, second.status) == (400, 200)
 
 
 class TestOperatorEndpoints:
@@ -231,6 +312,14 @@ class TestOperatorEndpoints:
         payload = json.loads(body)
         assert payload["counters"]["queries.total"] == 6
         assert set(payload["shards"]) == set(BBOXES)
+
+    def test_metrics_accept_negotiates_prometheus(self, served):
+        status, _reason, headers, body = served.call(
+            "GET", "/metrics", headers={"Accept": "text/plain"}
+        )
+        assert status == 200
+        assert headers["Content-Type"].startswith("text/plain; version=0.0.4")
+        assert "repro_queries_total" in body.decode()
 
     def test_metrics_prometheus_path(self, served):
         status, _reason, headers, body = served.call(

@@ -1,9 +1,9 @@
-"""Tests for the typed RouteQuery."""
+"""Tests for the typed RouteQuery (and the retired nested body)."""
 
 import pytest
 
 from repro.exceptions import QueryError
-from repro.serving import RouteQuery
+from repro.serving import RouteQuery, RouteRequest
 
 
 class TestValidation:
@@ -37,29 +37,29 @@ class TestValidation:
             RouteQuery(0.0, 0.0, 1.0, 1.0, k=0)
 
 
-class TestFromPayload:
+class TestNestedPayloadRejected:
+    """The retired nested ``/api/route`` body no longer parses."""
+
     def test_original_webapp_shape(self):
-        query = RouteQuery.from_payload(
-            {
-                "source": {"lat": -37.8, "lon": 144.9},
-                "target": {"lat": -37.7, "lon": 145.0},
-            }
-        )
-        assert query.source_lat == -37.8
-        assert query.target_lon == 145.0
+        with pytest.raises(QueryError, match="flat shape"):
+            RouteRequest.from_json(
+                {
+                    "source": {"lat": -37.8, "lon": 144.9},
+                    "target": {"lat": -37.7, "lon": 145.0},
+                }
+            )
 
     def test_extended_shape(self):
-        query = RouteQuery.from_payload(
-            {
-                "source": {"lat": -37.8, "lon": 144.9},
-                "target": {"lat": -37.7, "lon": 145.0},
-                "approaches": ["Penalty"],
-                "k": 2,
-            }
-        )
-        assert query.approaches == ("Penalty",)
-        assert query.k == 2
+        with pytest.raises(QueryError, match="flat shape"):
+            RouteRequest.from_json(
+                {
+                    "source": {"lat": -37.8, "lon": 144.9},
+                    "target": {"lat": -37.7, "lon": 145.0},
+                    "approaches": ["Penalty"],
+                    "k": 2,
+                }
+            )
 
     def test_missing_field_raises_query_error(self):
-        with pytest.raises(QueryError):
-            RouteQuery.from_payload({"source": {"lat": 1.0}})
+        with pytest.raises(QueryError, match="flat shape"):
+            RouteRequest.from_json({"source": {"lat": 1.0}})

@@ -4,7 +4,7 @@
 :class:`~repro.serving.query.RouteResponse` are the JSON shapes the
 ``/api/route`` endpoint and ``repro batch --json`` speak.  These tests
 pin the contract: flat versioned bodies round-trip losslessly, the
-legacy nested shape still parses but warns, version mismatches are
+retired nested shape is rejected naming the flat one, version mismatches are
 rejected with typed errors, and ``RouteService.respond`` emits a
 response that survives a JSON round trip.
 """
@@ -57,17 +57,15 @@ class TestRouteRequest:
         assert query.k == 2
         assert query.backend == "alt"
 
-    def test_legacy_nested_shape_warns_but_parses(self):
+    def test_legacy_nested_shape_rejected(self):
         payload = {
             "source": {"lat": -37.8, "lon": 144.9},
             "target": {"lat": -37.7, "lon": 145.0},
             "k": 2,
         }
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            request = RouteRequest.from_json(payload)
-        assert request.source_lat == -37.8
-        assert request.target_lon == 145.0
-        assert request.k == 2
+        with pytest.raises(QueryError, match="flat shape") as excinfo:
+            RouteRequest.from_json(payload)
+        assert '"source_lat"' in str(excinfo.value)
 
     def test_flat_shape_does_not_warn(self, recwarn):
         RouteRequest.from_json(

@@ -182,3 +182,63 @@ class TestTrafficFeeder:
         feeder.stop()
         assert live.current.seq == batches[-1].seq
         assert live.stats_payload()["applied"] == len(batches)
+
+
+class TestServe:
+    """``repro serve`` end to end: a real worker behind the front end."""
+
+    def test_port_zero_prints_the_bound_url_and_serves(self, tmp_path):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+        import urllib.error
+        import urllib.request
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src, TMPDIR=str(tmp_path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--shard", "melbourne",
+             "--size", "small", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=env, start_new_session=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "http://" in line, line
+            url = line.rsplit(" ", 1)[1].strip()
+            assert not url.endswith(":0")
+
+            def call(path, body=None):
+                data = None if body is None else json.dumps(body).encode()
+                try:
+                    with urllib.request.urlopen(
+                        urllib.request.Request(url + path, data=data),
+                        timeout=60,
+                    ) as response:
+                        return response.status
+                except urllib.error.HTTPError as exc:
+                    return exc.code
+
+            assert call("/healthz") == 200
+            flat = {"version": 1, "source_lat": -37.83, "source_lon": 144.93,
+                    "target_lat": -37.79, "target_lon": 144.99}
+            assert call("/api/route", flat) == 200
+            assert call("/api/route", {}) == 400
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            deadline = time.monotonic() + 10
+            while True:  # the shard worker exits with the server
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "worker outlived serve"
+                time.sleep(0.1)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            proc.stdout.close()
