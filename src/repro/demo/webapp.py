@@ -350,7 +350,7 @@ class DemoServer:
         """Count a rejected request in the serving metrics."""
         self.service.metrics.inc("http.bad_request")
 
-    def http_routes(self) -> Dict[Tuple[str, str], Callable[[Request], object]]:
+    def http_routes(self) -> Dict[Tuple[str, str], Callable]:
         """The demo's endpoints beyond the front end's shared ones."""
 
         def page(_request: Request) -> Reply:
@@ -364,7 +364,9 @@ class DemoServer:
             ("GET", "/api/table"): lambda _r: self.table_payload(),
             ("GET", "/api/isochrone"): self.isochrone_payload,
             ("GET", "/trace"): self.trace_payload,
-            ("GET", "/debug/profile"): lambda _r: self.profile_payload(),
+            ("GET", "/debug/profile"): (
+                lambda _r: self.service.profile_payload()
+            ),
             ("POST", "/api/feedback"): (
                 lambda request: self.handle_feedback(request.json())
             ),
@@ -434,10 +436,6 @@ class DemoServer:
                 [lat_, lon_] for lat_, lon_ in iso.outline()
             ],
         }
-
-    def profile_payload(self) -> Dict:
-        """The service's aggregated phase tree for ``/debug/profile``."""
-        return self.service.profile_payload()
 
     def healthz_payload(self) -> Dict:
         """Liveness and readiness summary for ``/healthz``.

@@ -74,7 +74,9 @@ class Request:
     headers: Mapping[str, str]
     body: bytes = b""
 
-    def param(self, name: str, default: Optional[str] = None):
+    def param(
+        self, name: str, default: Optional[str] = None
+    ) -> Optional[str]:
         """The first value of query parameter ``name``."""
         values = self.query.get(name)
         return values[0] if values else default
@@ -84,7 +86,9 @@ class Request:
         try:
             payload = json.loads(self.body.decode("utf-8") or "{}")
         except (ValueError, UnicodeDecodeError) as exc:
-            raise QueryError(f"request body is not valid JSON: {exc}") from None
+            raise QueryError(
+                f"request body is not valid JSON: {exc}"
+            ) from None
         if not isinstance(payload, dict):
             raise QueryError("request body must be a JSON object")
         return payload
@@ -118,7 +122,7 @@ def _error_reply(exc: Exception) -> Reply:
 
 
 class ShardFrontend:
-    """Serve a backend (a :class:`ShardRouter` or the demo) over asyncio HTTP."""
+    """Serve a backend (a :class:`ShardRouter` or the demo) over HTTP."""
 
     def __init__(self, router) -> None:
         self.router = router
@@ -227,7 +231,9 @@ class ShardFrontend:
         parts = urlsplit(target)
         handler = self._routes.get((method, parts.path.rstrip("/") or "/"))
         if handler is None:
-            return Reply(404, {"error": f"no handler for {method} {parts.path}"})
+            return Reply(
+                404, {"error": f"no handler for {method} {parts.path}"}
+            )
         request = Request(parse_qs(parts.query), headers, body)
         loop = asyncio.get_running_loop()
         try:
@@ -289,7 +295,7 @@ class ShardFrontend:
         return server.sockets[0].getsockname()[:2]
 
     def serve_forever(self) -> None:
-        """Run the bound loop on this thread until :meth:`shutdown` or Ctrl-C."""
+        """Serve on this thread until :meth:`shutdown` or Ctrl-C."""
         loop = self._loop
         try:
             loop.run_forever()

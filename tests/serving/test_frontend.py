@@ -94,7 +94,7 @@ class Served:
         return http.client.HTTPConnection("127.0.0.1", self.port, timeout=10)
 
     def call(self, method, path, body=None, headers=None):
-        """One request on a fresh connection -> (status, reason, headers, body)."""
+        """One request on a fresh connection: status, reason, headers, body."""
         conn = self.connect()
         try:
             if body is not None and not isinstance(body, (bytes, str)):
@@ -243,7 +243,7 @@ class TestMalformedRequests:
         [
             {},
             dict(ROUTE, source_lat="north"),
-            {key: value for key, value in ROUTE.items() if key != "target_lon"},
+            {key: val for key, val in ROUTE.items() if key != "target_lon"},
             {
                 "source": {"lat": -37.81, "lon": 144.96},
                 "target": {"lat": -37.79, "lon": 144.99},
