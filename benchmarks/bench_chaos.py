@@ -5,13 +5,12 @@ One approach's planner is wrapped in a seeded
 hangs past the query deadline, or returns an empty route set.  The same
 fault schedule is then served twice:
 
-* **baseline** — the pre-resilience configuration: no deadline
-  propagation, no circuit breakers, no admission control.  A hang
-  occupies a pool thread for its full duration, so hung threads pile
-  up and eventually starve whole queries out of the pool;
-* **resilient** — cooperative deadlines cancel the hang at the query
-  timeout (freeing the worker), and the faulty approach's circuit
-  breaker opens after repeated failures so later queries fast-fail it.
+* **baseline** — no circuit breakers, no admission control.  The
+  query deadline still unwinds a hang, but planning is serial, so every
+  hang also costs the approaches after the faulty one in that query;
+* **resilient** — the same deadline, and the faulty approach's circuit
+  breaker opens after repeated failures, so later queries fast-fail it
+  and serve the approaches after it again.
 
 Reported per mode: availability (fraction of queries that produced at
 least one route set), degraded-query rate, and p50/p99 latency.  The
@@ -54,8 +53,6 @@ FAULTY_APPROACH = "Plateaus"
 FAULTS = dict(p_error=0.2, p_hang=0.5, p_empty=0.0, hang_s=3.0)
 #: Query deadline — well under ``hang_s`` so every hang overruns it.
 TIMEOUT_S = 0.8
-#: Small pool so baseline hangs visibly starve later queries.
-MAX_WORKERS = 2
 #: Failures that open the faulty approach's circuit.
 BREAKER_THRESHOLD = 3
 
@@ -137,16 +134,13 @@ def test_bench_chaos_resilience_beats_baseline(processor, queries):
     baseline = RouteService(
         baseline_proc,
         cache_size=0,
-        max_workers=MAX_WORKERS,
         timeout_s=TIMEOUT_S,
-        propagate_deadline=False,
         breaker_threshold=0,
         max_inflight=0,
     )
     resilient = RouteService(
         resilient_proc,
         cache_size=0,
-        max_workers=MAX_WORKERS,
         timeout_s=TIMEOUT_S,
         breaker_threshold=BREAKER_THRESHOLD,
         breaker_cooldown_s=60.0,
@@ -161,7 +155,6 @@ def test_bench_chaos_resilience_beats_baseline(processor, queries):
             "faulty_approach": FAULTY_APPROACH,
             "faults": FAULTS,
             "timeout_s": TIMEOUT_S,
-            "max_workers": MAX_WORKERS,
             "baseline": baseline_report,
             "resilient": resilient_report,
             "resilient_injected": faulty.injected,
@@ -171,7 +164,7 @@ def test_bench_chaos_resilience_beats_baseline(processor, queries):
             "Experiment S2 — chaos benchmark "
             f"({FAULTY_APPROACH} faulty, {len(queries)} queries)",
             f"faults: {FAULTS}",
-            f"timeout: {TIMEOUT_S}s, workers: {MAX_WORKERS}",
+            f"timeout: {TIMEOUT_S}s",
         ]
         for mode in ("baseline", "resilient"):
             stats = report[mode]

@@ -19,13 +19,12 @@ The library ships four layers, each usable on its own:
   processor, blinded A-D display, SQLite feedback store) as an offline
   web app on the serving layer's asyncio HTTP front end.
 * **Serving layer** — :mod:`repro.serving`: the production route
-  service over the study planners (LRU route cache, concurrent planner
-  fan-out with timeouts, graceful degradation, ``/metrics``, per-city
-  shard workers and the one HTTP front end).
-* **Observability** — :mod:`repro.observability`: per-query tracing
-  that survives the planner thread pool, structured (JSON) logging
-  with trace correlation, planner search counters, and Prometheus
-  text exposition for ``/metrics``.
+  service over the study planners (LRU route cache, serial planning
+  in A-D order under a per-query deadline, graceful degradation,
+  ``/metrics``, per-city shard workers and the one HTTP front end).
+* **Observability** — :mod:`repro.observability`: per-query tracing,
+  structured (JSON) logging with trace correlation, planner search
+  counters, and Prometheus text exposition for ``/metrics``.
 
 Quickstart::
 

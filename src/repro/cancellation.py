@@ -1,16 +1,12 @@
 """Cooperative cancellation: ``contextvars``-propagated deadlines.
 
-The serving layer's planner fan-out cannot *pre-emptively* stop a
-planner: ``Future.cancel()`` is a no-op once the callable runs on a
-pool thread, so before this module existed a timed-out planner kept its
-worker busy until it finished naturally — a few pathological queries
-could exhaust the whole pool.  The fix is cooperative: the service
-arms a :class:`Deadline` in the submitting context, the context is
-copied onto the worker (the same ``contextvars`` backbone the tracer
-uses), and every planner's search loop periodically calls
+CPython cannot *pre-emptively* stop a running planner, so a query
+timeout is cooperative: the serving layer arms one :class:`Deadline`
+per query in the ambient context (the same ``contextvars`` backbone the
+tracer uses), and every planner's search loop periodically calls
 :meth:`Deadline.check`, which raises
 :class:`~repro.exceptions.PlanningTimeout` once the deadline expires —
-unwinding the search and freeing the thread.
+unwinding the search so the query can answer with what it has.
 
 This module sits *below* :mod:`repro.core` and :mod:`repro.algorithms`
 on purpose: the planners' hot loops import from here, and the serving
@@ -135,7 +131,7 @@ def deadline_scope(
     """Arm a deadline for the ``with`` block.
 
     Pass either an existing :class:`Deadline` (the service shares one
-    per query across its planner fan-out) or a ``timeout_s`` to build a
+    per query across all its planners) or a ``timeout_s`` to build a
     fresh one.  Nested scopes shadow outer ones for the block.
     """
     if deadline is None:

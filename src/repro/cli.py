@@ -200,7 +200,6 @@ def _cmd_batch(args) -> int:
     processor = QueryProcessor(network, traffic_seed=args.seed)
     service = RouteService(
         processor,
-        max_workers=args.workers,
         timeout_s=args.timeout,
         breaker_threshold=0,
         max_inflight=0,
@@ -312,12 +311,7 @@ def _cmd_demo(args) -> int:
     from repro.serving import RouteService
 
     network = _build_network(args)
-    processor = QueryProcessor(
-        network,
-        traffic_seed=args.seed,
-        precompute_landmarks=args.precompute_landmarks,
-        precompute_ch=args.precompute_ch,
-    )
+    processor = QueryProcessor(network, traffic_seed=args.seed)
     query_log = None
     if args.query_log:
         query_log = QueryLog(
@@ -346,11 +340,12 @@ def _cmd_demo(args) -> int:
     service = RouteService(
         processor,
         cache_size=args.cache_size,
-        max_workers=args.workers,
         timeout_s=args.timeout,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
         max_inflight=args.max_inflight,
+        precompute_landmarks=args.precompute_landmarks,
+        precompute_ch=args.precompute_ch,
         query_log=query_log,
         profiler=profiler,
         live=live,
@@ -436,7 +431,6 @@ def _cmd_replay(args) -> int:
     processor = QueryProcessor(network, traffic_seed=traffic_seed)
     with RouteService(
         processor,
-        max_workers=args.workers,
         timeout_s=args.timeout,
         breaker_threshold=0,
         max_inflight=0,
@@ -667,12 +661,19 @@ def _cmd_experiment_diversify(args) -> int:
     return 0
 
 
-def _shard_specs(args):
+def _exit_on_sigterm(signum, _frame):
+    """SIGTERM handler: unwind like an error, so cleanups still run."""
+    raise SystemExit(128 + signum)
+
+
+def _shard_specs(args, stack):
     """ShardSpecs from repeated ``--shard city[=snapshot]`` options.
 
     A bare city builds the network at ``--size/--seed`` and writes a
     fresh mmap-able v3 snapshot into a temp directory, so the command
-    works without a prior ``repro snapshot build`` step.
+    works without a prior ``repro snapshot build`` step.  The directory
+    belongs to ``stack`` (a :class:`contextlib.ExitStack`), which
+    removes it when it closes.
     """
     import tempfile
     from pathlib import Path
@@ -690,7 +691,9 @@ def _shard_specs(args):
             )
         if not path:
             if tmp_dir is None:
-                tmp_dir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
+                tmp_dir = Path(stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-shards-")
+                ))
             path = str(tmp_dir / f"{city}-{args.size}-{args.seed}.rprn")
             network = CITY_BUILDERS[city](size=args.size, seed=args.seed)
             save_snapshot(network, path)
@@ -709,13 +712,19 @@ def _shard_specs(args):
 
 
 def _cmd_serve(args) -> int:
+    import contextlib
     import signal
 
     from repro.serving.frontend import ShardFrontend
     from repro.serving.shard import ShardRouter
 
-    specs = _shard_specs(args)
-    with ShardRouter(specs) as router:
+    # Until the front end serves, SIGTERM unwinds the stack below, which
+    # stops the workers and removes the snapshot directory.
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    with contextlib.ExitStack() as stack:
+        router = ShardRouter(_shard_specs(args, stack))
+        stack.callback(router.close)
+        router.start()
         frontend = ShardFrontend(router)
         host, port = frontend.bind(args.host, args.port)
         print(
@@ -731,6 +740,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_loadgen(args) -> int:
     import contextlib
+    import signal
 
     from repro.serving.loadgen import (
         find_max_sustainable_rps,
@@ -752,13 +762,16 @@ def _cmd_loadgen(args) -> int:
     }
     queries = sample_queries(networks, args.queries, seed=args.seed)
 
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     with contextlib.ExitStack() as stack:
         if args.sharded:
             from repro.serving.shard import ShardRouter
 
             args.shard = cities
             args.live = False
-            router = stack.enter_context(ShardRouter(_shard_specs(args)))
+            router = ShardRouter(_shard_specs(args, stack))
+            stack.callback(router.close)
+            router.start()
             target = router_target(router)
         else:
             from repro.serving import RouteService
@@ -873,10 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
         'query objects ("-" reads stdin)',
     )
     batch.add_argument(
-        "--workers", type=int, default=4,
-        help="concurrent planner invocations per query",
-    )
-    batch.add_argument(
         "--timeout", type=float, default=30.0,
         help="per-query planner deadline in seconds",
     )
@@ -900,10 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--cache-size", type=int, default=1024,
         help="LRU route-cache capacity (0 disables caching)",
-    )
-    demo.add_argument(
-        "--workers", type=int, default=4,
-        help="concurrent planner invocations per query",
     )
     demo.add_argument(
         "--timeout", type=float, default=30.0,
@@ -1099,10 +1104,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--limit", type=int, default=None,
         help="replay at most this many records",
-    )
-    replay.add_argument(
-        "--workers", type=int, default=4,
-        help="concurrent planner invocations per query",
     )
     replay.add_argument(
         "--timeout", type=float, default=30.0,

@@ -22,8 +22,8 @@ byte-identical to the pure kernel.
 The table rides on the CSR view (``csr.landmarks``); a network without
 the precomputation behaves exactly as before this layer existed.
 Build one explicitly with :func:`ensure_landmarks` (the
-``precompute_landmarks`` knob on ``RouteService``/``QueryProcessor``
-and the ``repro snapshot`` CLI call it at startup).
+``precompute_landmarks`` knob on ``RouteService`` and the
+``repro snapshot`` CLI call it at startup).
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ Three access patterns layer on top of one primitive:
 * **Explicit** — ``planner.plan(s, t, context=ctx)`` validates the
   context against the query and arms it for the call.
 * **Ambient** — the serving layer arms one context per query with
-  :func:`search_context_scope` before fanning the approaches out onto
-  its thread pool; the planners discover it through
+  :func:`search_context_scope` around each of its planners; the
+  planners discover it through
   :func:`active_search_context`, the same ``contextvars`` backbone the
   tracer, the search-stats collector and the cooperative deadline use.
 * **Batched** — a :class:`SearchContextPool` memoizes tree cells across
@@ -26,8 +26,8 @@ Three access patterns layer on top of one primitive:
   near-identical s-t queries per origin).
 
 Thread safety: a tree cell is built at most once, under its own lock,
-and is immutable afterwards — safe to share across the service's pool
-threads.  Construction is deadline-aware for free: the CSR kernel behind
+and is immutable afterwards — safe to share across threads.
+Construction is deadline-aware for free: the CSR kernel behind
 :func:`~repro.algorithms.dijkstra.kernel_dijkstra` honours the ambient
 :class:`~repro.cancellation.Deadline`, and a build that raises
 :class:`~repro.exceptions.PlanningTimeout` caches nothing, so the next

@@ -4,8 +4,9 @@ Three components, mirroring the paper's architecture:
 
 * the **road-network constructor** lives in :mod:`repro.osm`;
 * the **query processor** (:mod:`repro.demo.query_processor`) matches
-  clicked coordinates to vertices, runs the four blinded approaches and
-  re-prices every route on OSM data in whole minutes;
+  clicked coordinates to vertices and holds the four blinded
+  approaches; :class:`~repro.serving.service.RouteService` runs them
+  and re-prices every route on OSM data in whole minutes;
 * the **user interface** (:mod:`repro.demo.webapp`) is a web app on
   the asyncio front end (:mod:`repro.serving.frontend`) serving a
   canvas map; route geometry
@@ -24,11 +25,7 @@ from repro.demo.gpx import (
     route_set_to_gpx,
     save_route_set_gpx,
 )
-from repro.demo.query_processor import (
-    APPROACH_LABELS,
-    DemoQueryResult,
-    QueryProcessor,
-)
+from repro.demo.query_processor import APPROACH_LABELS, QueryProcessor
 from repro.demo.rendering import (
     ROUTE_COLORS,
     route_set_to_feature_collection,
@@ -41,7 +38,6 @@ from repro.demo.webapp import DemoServer
 __all__ = [
     "APPROACH_LABELS",
     "ROUTE_COLORS",
-    "DemoQueryResult",
     "DemoServer",
     "FeedbackRecord",
     "Instruction",

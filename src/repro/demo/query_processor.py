@@ -11,32 +11,14 @@ rounded to display time in minutes."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Union,
-)
+from typing import Dict, Mapping, Optional
 
-from repro.core.base import AlternativeRoutePlanner, RouteSet
-from repro.core.search_context import SearchContext, SearchContextPool
-from repro.demo.rendering import route_set_to_feature_collection
+from repro.core.base import AlternativeRoutePlanner
 from repro.exceptions import OutsideServiceAreaError, QueryError
 from repro.geometry import BoundingBox
 from repro.graph.network import RoadNetwork
 from repro.graph.spatial import SpatialIndex
-from repro.observability.logs import get_logger
-from repro.observability.tracing import span as tracing_span
 from repro.study.rating import APPROACHES
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serving.query import RouteQuery
-
-logger = get_logger(__name__)
 
 #: The paper's blinding: "The approaches are named A-D (A: Google Maps,
 #: B: Plateaus, C: Dissimilarity and D: Penalty)".
@@ -48,27 +30,12 @@ APPROACH_LABELS: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class DemoQueryResult:
-    """Everything the front end needs to draw one query's result."""
-
-    source_node: int
-    target_node: int
-    fastest_minutes: int
-    route_sets: Dict[str, RouteSet]  # blinded label -> routes
-
-    def to_geojson(self, display_weights) -> Dict:
-        """Return the blinded per-approach FeatureCollections."""
-        return {
-            label: route_set_to_feature_collection(
-                route_set, display_weights, label
-            )
-            for label, route_set in self.route_sets.items()
-        }
-
-
 class QueryProcessor:
-    """Matches coordinates to vertices and dispatches the four planners.
+    """The query processor's configuration: network, planners, matching.
+
+    Holds what answering a query needs — the network, the planners,
+    geo-coordinate matching, the service area and the display weights.
+    :class:`~repro.serving.service.RouteService` runs the queries.
 
     Parameters
     ----------
@@ -85,18 +52,6 @@ class QueryProcessor:
     traffic_seed:
         Seed for the commercial engine's private data when ``planners``
         is None; ignored otherwise.
-    precompute_landmarks:
-        When > 0, build the CSR view and an ALT landmark table of that
-        many landmarks at construction time (see :mod:`repro.core.alt`),
-        so every default-weight tree build and point-to-point query this
-        processor serves runs on the accelerated kernels.  0 (default)
-        leaves the network untouched.
-    precompute_ch:
-        When True, contract the network at construction time (see
-        :func:`~repro.core.ch.ensure_hierarchy`) so CH-backed planners
-        and ``backend="ch"``/``"auto"`` point-to-point queries serve
-        from the hierarchy immediately.  No-op for networks restored
-        from a ``--with-ch`` snapshot, which already carry it.
     """
 
     def __init__(
@@ -105,17 +60,7 @@ class QueryProcessor:
         planners: Optional[Mapping[str, AlternativeRoutePlanner]] = None,
         service_area: Optional[BoundingBox] = None,
         traffic_seed: int = 0,
-        precompute_landmarks: int = 0,
-        precompute_ch: bool = False,
     ) -> None:
-        if precompute_landmarks:
-            from repro.core.alt import ensure_landmarks
-
-            ensure_landmarks(network, count=precompute_landmarks)
-        if precompute_ch:
-            from repro.core.ch import ensure_hierarchy
-
-            ensure_hierarchy(network)
         if planners is None:
             from repro.core.registry import paper_planners
 
@@ -142,109 +87,6 @@ class QueryProcessor:
         if not self.service_area.contains(lat, lon):
             raise OutsideServiceAreaError(lat, lon)
         return self._index.nearest_node(lat, lon)
-
-    def process(
-        self,
-        source_lat: Union[float, "RouteQuery"],
-        source_lon: Optional[float] = None,
-        target_lat: Optional[float] = None,
-        target_lon: Optional[float] = None,
-        *,
-        context_pool: Optional[SearchContextPool] = None,
-    ) -> DemoQueryResult:
-        """Run one demo query end to end.
-
-        Accepts either the original four positional coordinates or a
-        typed :class:`~repro.serving.query.RouteQuery`, whose optional
-        ``approaches=`` subset and ``k=`` override narrow the fan-out
-        for this one query.  The blinded A-D labels in the result are
-        identical in both forms.
-
-        Every query is planned under a shared
-        :class:`~repro.core.search_context.SearchContext`, so the
-        tree-using approaches build the forward/backward SP trees once
-        between them instead of once each; ``context_pool`` (the
-        :meth:`process_many` batch path) extends that reuse across
-        queries sharing an endpoint.  Routes are identical with or
-        without the sharing.
-        """
-        from repro.serving.query import RouteQuery
-
-        if isinstance(source_lat, RouteQuery):
-            if source_lon is not None or target_lat is not None:
-                raise QueryError(
-                    "pass either a RouteQuery or four coordinates, "
-                    "not both"
-                )
-            query = source_lat
-        else:
-            query = RouteQuery(source_lat, source_lon, target_lat, target_lon)
-        with tracing_span("snap") as snap_span:
-            source = self.match_vertex(query.source_lat, query.source_lon)
-            target = self.match_vertex(query.target_lat, query.target_lon)
-            snap_span.set_attribute("source_node", source)
-            snap_span.set_attribute("target_node", target)
-        logger.debug(
-            "matched (%.5f, %.5f) -> %d and (%.5f, %.5f) -> %d",
-            query.source_lat, query.source_lon, source,
-            query.target_lat, query.target_lon, target,
-        )
-        if source == target:
-            raise QueryError(
-                "source and target snap to the same road vertex; pick "
-                "points further apart"
-            )
-        approaches = query.approaches or APPROACHES
-        unknown = [name for name in approaches if name not in self.planners]
-        if unknown:
-            raise QueryError(
-                f"unknown approaches {unknown}; configured: "
-                f"{sorted(self.planners)}"
-            )
-        if context_pool is not None:
-            context = context_pool.context(source, target)
-        else:
-            context = SearchContext(self.network, source, target)
-        route_sets: Dict[str, RouteSet] = {}
-        for approach in approaches:
-            route_sets[
-                APPROACH_LABELS.get(approach, approach)
-            ] = self.planners[approach].plan(
-                source, target, k=query.k, context=context
-            )
-        priced = [
-            route.travel_time_on(self._display_weights)
-            for route_set in route_sets.values()
-            for route in route_set
-        ]
-        if not priced:
-            raise QueryError(
-                f"every approach returned an empty route set for nodes "
-                f"{source} -> {target}; the query may span disconnected "
-                f"components or an over-restrictive service area"
-            )
-        return DemoQueryResult(
-            source_node=source,
-            target_node=target,
-            fastest_minutes=round(min(priced) / 60.0),
-            route_sets=route_sets,
-        )
-
-    def process_many(
-        self, queries: Iterable["RouteQuery"]
-    ) -> List[DemoQueryResult]:
-        """Run a batch of queries with cross-query tree reuse.
-
-        One :class:`SearchContextPool` backs the whole batch: queries
-        sharing a snapped origin compute the origin's forward SP tree
-        once.  Errors propagate (this is the demo path); the serving
-        layer's :meth:`~repro.serving.RouteService.plan_many` is the
-        degradation-tolerant batch entry point.
-        """
-        pool = SearchContextPool(self.network)
-        return [
-            self.process(query, context_pool=pool) for query in queries
-        ]
 
     def display_weights(self):
         """The OSM weights every displayed travel time is priced on."""

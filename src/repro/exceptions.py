@@ -83,8 +83,8 @@ class PlanningTimeout(ReproError, TimeoutError):
 
     Raised from inside the planners' search loops when the ambient
     :class:`repro.cancellation.Deadline` expires (or is cancelled), so a
-    timed-out planner unwinds and frees its worker thread instead of
-    running to completion against a query nobody is waiting for.
+    timed-out planner unwinds instead of running to completion against
+    a query nobody is waiting for.
     """
 
 

@@ -28,7 +28,7 @@ from repro.exceptions import EdgeNotFoundError, GraphError, NodeNotFoundError
 from repro.geometry import BoundingBox
 
 #: The ambient :class:`~repro.core.customization.WeightEpoch` pin.  Set
-#: per query by the serving layer (and propagated to worker threads via
+#: per query by the serving layer (and carried to other threads by
 #: ``contextvars.copy_context``), it redirects every default-weight
 #: lookup — and, through :func:`repro.graph.csr.ensure_csr`, every
 #: search kernel — to one immutable weight snapshot, so a query

@@ -4,8 +4,7 @@ Three concerns, one ``contextvars`` backbone:
 
 * **Tracing** (:mod:`~repro.observability.tracing`) — every served
   query becomes a trace of per-stage spans (snap, cache, one plan per
-  approach, filter, render) that survives the serving layer's
-  thread-pool fan-out and lands in a bounded ring buffer behind
+  approach, filter, render) that lands in a bounded ring buffer behind
   ``GET /trace``.
 * **Structured logging** (:mod:`~repro.observability.logs`) — stdlib
   logging with a JSON formatter and ambient trace/span ids injected

@@ -4,9 +4,9 @@ Aggregate histograms say a query took 80 ms; they cannot say how much
 of it was the snap, the shared tree build, the CH upward searches, the
 shortcut unpacking, or the dissimilarity filter.  This module
 attributes wall time to *named phases* using the same ``contextvars``
-idiom the tracer uses, so attribution survives the serving layer's
-thread-pool fan-out (the submitting context is copied onto the worker,
-carrying the active profile node with it).
+idiom the tracer uses, so attribution follows the query through ordinary
+calls (and onto another thread when that thread runs in a copy of the
+query's context, which carries the active profile node with it).
 
 Design:
 

@@ -7,13 +7,11 @@ runtime gaps come from search effort; a trace makes that effort visible
 per query instead of only in aggregate histograms.
 
 The ambient current span lives in a :class:`contextvars.ContextVar`, so
-propagation is automatic through ordinary calls *and* — crucially —
-survives the :class:`~repro.serving.service.RouteService` thread-pool
-fan-out: the service snapshots the submitting context with
-``contextvars.copy_context()`` and runs each planner inside that copy,
-so spans opened on worker threads still attach to the query's trace.
-Thread-locals could not do this (the worker thread never ran the code
-that set them), which is why ``contextvars`` is load-bearing here.
+propagation is automatic through ordinary calls: the
+:class:`~repro.serving.service.RouteService` plans every approach on the
+query's own thread, so each planner's span attaches to the query's
+trace.  Code that moves work to another thread carries the trace along
+by running it in ``contextvars.copy_context()``.
 
 Finished traces land in a bounded ring buffer on the :class:`Tracer`;
 the demo webapp serves it at ``GET /trace`` and
@@ -51,8 +49,8 @@ class Span:
     Spans are created through :meth:`Tracer.trace` (roots) and
     :func:`span` (children); they should not be constructed directly.
     ``duration_s`` stays ``None`` until :meth:`end` runs, so a span that
-    outlives its trace (a timed-out planner still running on a worker
-    thread) shows up as unfinished rather than with a fake duration.
+    outlives its trace (one still running on another thread when the
+    trace ends) shows up as unfinished rather than with a fake duration.
     """
 
     __slots__ = (
@@ -162,8 +160,8 @@ NULL_SPAN = _NullSpan()
 
 
 class Trace:
-    """One query's span tree; thread-safe, since spans may be appended
-    from executor worker threads while the coordinator adds its own."""
+    """One query's span tree; thread-safe, since work the query hands to
+    other threads may append spans while the query adds its own."""
 
     def __init__(self, name: str) -> None:
         self.trace_id = _new_id()

@@ -2,10 +2,10 @@
 
 The paper's artifact was a live demo serving four alternative-route
 approaches to 237 participants; this package is that serving path grown
-up: an LRU route cache with explicit invalidation, bounded concurrent
-planner fan-out with per-query timeouts, graceful degradation with
-per-approach error markers, and a metrics registry behind the webapp's
-``/metrics`` endpoint.
+up: an LRU route cache with explicit invalidation, serial planning in
+a fixed approach order under a per-query deadline, graceful degradation
+with per-approach error markers, and a metrics registry behind the
+webapp's ``/metrics`` endpoint.
 
 Entry point::
 
@@ -91,7 +91,6 @@ from repro.serving.service import (
     DEFAULT_BREAKER_COOLDOWN_S,
     DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_MAX_INFLIGHT,
-    DEFAULT_MAX_WORKERS,
     DEFAULT_TIMEOUT_S,
     ApproachOutcome,
     BatchItemOutcome,
@@ -116,7 +115,6 @@ __all__ = [
     "DEFAULT_FEED_BREAKER_THRESHOLD",
     "DEFAULT_MAX_INFLIGHT",
     "DEFAULT_MAX_WEIGHT_RATIO",
-    "DEFAULT_MAX_WORKERS",
     "DEFAULT_TIMEOUT_S",
     "Deadline",
     "FaultAction",

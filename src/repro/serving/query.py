@@ -3,7 +3,7 @@
 The paper's query processor takes "a pair of source and target
 locations each represented by longitude and latitude".  The serving
 layer keeps that contract but adds the per-query knobs production
-callers need: restricting the fan-out to a subset of approaches,
+callers need: restricting the query to a subset of approaches,
 overriding ``k`` (the demo's "up to 3 routes") and pinning the
 point-to-point serving backend for one query.
 

@@ -6,9 +6,9 @@ failure, plus a fault injector to prove they work:
 * **Cooperative deadlines** — re-exported from
   :mod:`repro.cancellation` (the primitive lives below the planners so
   their hot loops can import it without a layering cycle).  The service
-  arms one :class:`Deadline` per query and propagates it onto the pool
-  threads; planners check it and raise
-  :class:`~repro.exceptions.PlanningTimeout`, freeing the worker.
+  arms one :class:`Deadline` per query; planners check it and raise
+  :class:`~repro.exceptions.PlanningTimeout`, and approaches whose turn
+  comes after it expired are not started.
 * **Circuit breakers** (:class:`CircuitBreaker`) — one per approach.
   ``closed`` counts consecutive failures; after ``failure_threshold``
   of them the circuit ``open``s and calls fast-fail without touching
@@ -318,8 +318,7 @@ class FaultInjectingPlanner(AlternativeRoutePlanner):
     optional fixed ``extra_latency_s``).  The hang sleeps through
     :func:`interruptible_sleep`, so under a deadline it raises
     :class:`~repro.exceptions.PlanningTimeout` promptly, while without
-    one it genuinely occupies the worker — exactly the asymmetry the
-    chaos benchmark measures.
+    one it genuinely blocks its caller.
 
     The wrapper is deterministic per seed and keeps its own injection
     counters (``injected``) so experiments can report what was thrown

@@ -1,4 +1,4 @@
-"""The route service: cached, concurrent, observable query serving.
+"""The route service: cached, observable query serving.
 
 This is the production entry point wrapping the paper's demo pipeline.
 One :meth:`RouteService.query` call runs the four stages the paper's
@@ -10,9 +10,10 @@ rendering — with the properties a live deployment needs:
   ``(approach, snapped source, snapped target, k)``; repeated queries
   skip planning entirely.  Call :meth:`invalidate_cache` whenever the
   network's weights change.
-* **Concurrency** — the approaches fan out onto a bounded
-  ``ThreadPoolExecutor`` instead of running sequentially, with a
-  per-query planner timeout.
+* **Serial planning in a fixed order** — the approaches are planned
+  one after another on the calling thread, in the query's approach
+  order, under one per-query deadline, so a query's answer (and the
+  bytes it renders to) does not depend on thread scheduling.
 * **Graceful degradation** — a planner raising or timing out yields a
   per-approach error marker in the result; the query still serves the
   approaches that succeeded.  Only a query with *no* usable routes at
@@ -21,8 +22,8 @@ rendering — with the properties a live deployment needs:
   latency histograms in a :class:`~repro.serving.metrics.MetricsRegistry`,
   served by the webapp's ``/metrics`` endpoint.
 * **Resilience** — a per-query cooperative :class:`~repro.cancellation.
-  Deadline` is propagated onto the planner pool so a timed-out planner
-  frees its worker instead of leaking it; per-approach
+  Deadline` unwinds a planner that overruns it, and approaches whose
+  turn comes after it expired are not started; per-approach
   :class:`~repro.serving.resilience.CircuitBreaker` instances fast-fail
   approaches that keep failing; a bounded
   :class:`~repro.serving.resilience.InflightGate` sheds load with
@@ -31,9 +32,7 @@ rendering — with the properties a live deployment needs:
 
 from __future__ import annotations
 
-import contextvars
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
@@ -53,11 +52,7 @@ from repro.core.search_context import (
     SearchContextPool,
     search_context_scope,
 )
-from repro.demo.query_processor import (
-    APPROACH_LABELS,
-    DemoQueryResult,
-    QueryProcessor,
-)
+from repro.demo.query_processor import APPROACH_LABELS, QueryProcessor
 from repro.demo.rendering import route_set_to_feature_collection
 from repro.exceptions import (
     CircuitOpenError,
@@ -98,9 +93,6 @@ logger = get_logger(__name__)
 
 #: Default per-query planning timeout, generous for full-size networks.
 DEFAULT_TIMEOUT_S = 30.0
-
-#: Default planner fan-out: one worker per study approach.
-DEFAULT_MAX_WORKERS = 4
 
 #: Consecutive failures before an approach's circuit opens (0 disables).
 DEFAULT_BREAKER_THRESHOLD = 5
@@ -159,15 +151,6 @@ class ServiceResult:
     def cache_hits(self) -> int:
         return sum(1 for outcome in self.outcomes if outcome.cached)
 
-    def to_demo_result(self) -> DemoQueryResult:
-        """Down-convert to the demo's original result type."""
-        return DemoQueryResult(
-            source_node=self.source_node,
-            target_node=self.target_node,
-            fastest_minutes=self.fastest_minutes,
-            route_sets=dict(self.route_sets),
-        )
-
 
 @dataclass(frozen=True)
 class BatchItemOutcome:
@@ -216,7 +199,7 @@ class BatchResult:
 
 
 class RouteService:
-    """Cached, concurrent, observable serving over the study planners.
+    """Cached, observable serving over the study planners.
 
     Parameters
     ----------
@@ -226,17 +209,21 @@ class RouteService:
     cache_size:
         LRU capacity in route sets; 0 disables caching.
     max_workers:
-        Bound on concurrent planner invocations.
+        Ignored.  Planning runs serially on the calling thread; the
+        argument is still accepted so callers written against the
+        former planner pool (perfbench's in-process reference among
+        them) keep constructing the service.
     timeout_s:
-        Per-query planning deadline; planners still running when it
-        expires are reported as timed out for this query.
+        Per-query planning deadline.  A planner that overruns it is
+        reported as timed out, and approaches whose turn comes after it
+        expired are not started (see DESIGN.md, "Serial planning").
     metrics:
         Shared registry, or None to create a private one.
     tracer:
         Shared :class:`~repro.observability.tracing.Tracer`, or None to
         create a private one.  Every query produces one trace whose
         spans cover vertex matching, the cache lookup, each planner
-        invocation (on its worker thread) and the filter stage.
+        invocation and the filter stage.
     breaker_threshold:
         Consecutive planner failures/timeouts before that approach's
         circuit opens and calls fast-fail; 0 disables the breakers.
@@ -245,16 +232,10 @@ class RouteService:
     max_inflight:
         Bound on concurrently admitted queries; queries beyond it are
         shed with :class:`ServiceOverloadedError` (None disables).
-    propagate_deadline:
-        When True (default), a cooperative :class:`Deadline` of
-        ``timeout_s`` is armed on every planner invocation so a
-        timed-out planner frees its pool thread; False restores the
-        legacy leak-the-thread behaviour (the chaos benchmark's
-        baseline).
     share_context:
         When True (default), every query builds one
         :class:`~repro.core.search_context.SearchContext` and arms it
-        across the whole planner fan-out, so the forward/backward SP
+        for each of its planners, so the forward/backward SP
         trees are computed once per query instead of once per
         tree-using approach (and once per *batch* origin under
         :meth:`plan_many`).  False restores the unshared baseline —
@@ -293,7 +274,7 @@ class RouteService:
         Optional :class:`~repro.serving.live.LiveTrafficController`
         over the same network.  When set, every query pins the
         controller's current :class:`~repro.core.customization.
-        WeightEpoch` for its whole fan-out (and :meth:`plan_many` pins
+        WeightEpoch` for all its planners (and :meth:`plan_many` pins
         one epoch for its whole batch), so an epoch swap mid-query can
         never mix weight vectors; apply/rollback events invalidate the
         route cache scoped to the dirty edges; query-log records carry
@@ -304,14 +285,13 @@ class RouteService:
         self,
         processor: QueryProcessor,
         cache_size: int = 1024,
-        max_workers: int = DEFAULT_MAX_WORKERS,
+        max_workers: Optional[int] = None,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
         breaker_cooldown_s: float = DEFAULT_BREAKER_COOLDOWN_S,
         max_inflight: Optional[int] = DEFAULT_MAX_INFLIGHT,
-        propagate_deadline: bool = True,
         share_context: bool = True,
         precompute_landmarks: int = 0,
         precompute_ch: bool = False,
@@ -320,10 +300,6 @@ class RouteService:
         breaker_clock: Callable[[], float] = time.monotonic,
         live: Optional[LiveTrafficController] = None,
     ) -> None:
-        if max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
         if timeout_s <= 0:
             raise ConfigurationError(
                 f"timeout_s must be > 0, got {timeout_s}"
@@ -366,7 +342,6 @@ class RouteService:
                 )
         self.profiler = profiler if profiler is not None else Profiler()
         self.timeout_s = timeout_s
-        self.propagate_deadline = propagate_deadline
         self.share_context = share_context
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown_s = breaker_cooldown_s
@@ -380,10 +355,6 @@ class RouteService:
                     cooldown_s=breaker_cooldown_s,
                     clock=breaker_clock,
                 )
-        self._closed = False
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="route-planner"
-        )
 
     @classmethod
     def from_network(
@@ -400,18 +371,13 @@ class RouteService:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the planner pool down (idempotent).
+        """Release the service (idempotent).
 
-        ``cancel_futures=True`` drops planner work that was submitted
-        but never started, so a shutdown under load does not execute
-        queued queries against a closing service; already-running
-        planners are left to finish cooperatively (their deadlines
-        expire and unwind them).
+        Planning runs on the caller's thread, so the service owns no
+        threads or processes and there is nothing to release; ``close``
+        and the context-manager form stay so callers can manage the
+        service as a resource regardless.
         """
-        if self._closed:
-            return
-        self._closed = True
-        self._executor.shutdown(wait=False, cancel_futures=True)
 
     def __enter__(self) -> "RouteService":
         return self
@@ -521,9 +487,9 @@ class RouteService:
             raise
         try:
             # Pin the live-traffic epoch (if any) around the whole
-            # serve + log path: the planner fan-out copies this thread's
-            # context, so every worker reads the same weight vector even
-            # if the controller swaps epochs mid-query.
+            # serve + log path, so every planner of the query reads the
+            # same weight vector even if the controller swaps epochs
+            # mid-query.
             with self._epoch_pin(), self.tracer.trace(
                 "query", k=query.k
             ) as root:
@@ -573,8 +539,8 @@ class RouteService:
         origin's forward SP tree once (and symmetrically for shared
         targets) — the tree-reuse batch workload of the
         shortest-path-stability and route-diversification studies.
-        Each query still runs the full concurrent fan-out, caching,
-        degradation and resilience machinery of :meth:`query`.
+        Each query still runs the full planning, caching, degradation
+        and resilience machinery of :meth:`query`.
 
         Per-query failures (bad endpoints, overload sheds, every
         approach failing) are captured as :class:`BatchItemOutcome`
@@ -771,33 +737,97 @@ class RouteService:
     def _plan_one(
         self,
         approach: str,
+        key: Tuple,
         planner: AlternativeRoutePlanner,
         source: int,
         target: int,
-        k: Optional[int],
-        deadline: Optional[Deadline] = None,
-        context: Optional[SearchContext] = None,
-        backend: Optional[str] = None,
-    ) -> RouteSet:
-        # Arm the query's shared search context ambiently (rather than
-        # passing context= to plan()) so wrapper planners that override
-        # plan() keep working unchanged; planners that cannot use the
-        # shared trees simply never read it.  The query's backend
-        # override rides the plan() call itself: route sets are
-        # backend-independent (the CH differential tier proves it), so
-        # cache entries stay shared across backends.
-        with search_context_scope(context):
-            if deadline is None:
-                with self.metrics.time(f"stage.plan.{approach}"), \
-                        phase(f"plan.{approach}"):
-                    return planner.plan(source, target, k=k, backend=backend)
-            # Arm the query's shared deadline in this worker's (copied)
-            # context so the planner's search loops can see and honour
-            # it.
-            with deadline_scope(deadline):
-                with self.metrics.time(f"stage.plan.{approach}"), \
-                        phase(f"plan.{approach}"):
-                    return planner.plan(source, target, k=k, backend=backend)
+        query: RouteQuery,
+        deadline: Deadline,
+        context: Optional[SearchContext],
+    ) -> ApproachOutcome:
+        """Plan one admitted approach under the query's deadline.
+
+        A planner that raises :class:`PlanningTimeout`, or that returns
+        after the deadline expired, is a timeout: it counts in
+        ``plan.timeouts.<approach>`` and feeds its circuit breaker.  An
+        approach whose turn comes after the deadline expired is not
+        started; it gets a timeout marker and count too, but its breaker
+        is left alone because it did nothing wrong.
+        """
+        label = _blinded_label(approach)
+        if deadline.expired:
+            self.metrics.inc(f"plan.timeouts.{approach}")
+            logger.warning(
+                "planner %s not started: the %gs deadline expired first",
+                approach, self.timeout_s,
+            )
+            return ApproachOutcome(
+                approach=approach,
+                label=label,
+                error=(
+                    f"TimeoutError: the {self.timeout_s:g}s deadline "
+                    f"expired before the planner started"
+                ),
+            )
+        started = time.perf_counter()
+        try:
+            # Arm the query's shared search context ambiently (rather
+            # than passing context= to plan()) so wrapper planners that
+            # override plan() keep working unchanged; planners that
+            # cannot use the shared trees simply never read it.  The
+            # deadline is armed the same way so the planner's search
+            # loops can honour it.  The query's backend override rides
+            # the plan() call itself: route sets are backend-independent
+            # (the CH differential tier proves it), so cache entries
+            # stay shared across backends.
+            with search_context_scope(context), deadline_scope(deadline), \
+                    self.metrics.time(f"stage.plan.{approach}"), \
+                    phase(f"plan.{approach}"):
+                route_set = planner.plan(
+                    source, target, k=query.k, backend=query.backend
+                )
+            if deadline.expired:
+                raise PlanningTimeout(approach)  # returned too late
+        except PlanningTimeout:
+            self.metrics.inc(f"plan.timeouts.{approach}")
+            self._record_failure(approach, None)
+            logger.warning(
+                "planner %s exceeded the %gs deadline",
+                approach, self.timeout_s,
+            )
+            return ApproachOutcome(
+                approach=approach,
+                label=label,
+                error=(
+                    f"TimeoutError: planner exceeded the "
+                    f"{self.timeout_s:g}s deadline"
+                ),
+                elapsed_s=time.perf_counter() - started,
+            )
+        except Exception as error:
+            self.metrics.inc(f"plan.errors.{approach}")
+            self._record_failure(approach, error)
+            logger.warning(
+                "planner %s failed: %s: %s",
+                approach, type(error).__name__, error,
+            )
+            return ApproachOutcome(
+                approach=approach,
+                label=label,
+                error=f"{type(error).__name__}: {error}",
+                elapsed_s=time.perf_counter() - started,
+            )
+        breaker = self._breakers.get(approach)
+        if breaker is not None:
+            breaker.record_success()
+        self._record_search_stats(approach, route_set)
+        self.cache.put(key, route_set)
+        return ApproachOutcome(
+            approach=approach,
+            label=label,
+            route_set=route_set,
+            elapsed_s=time.perf_counter() - started,
+        )
 
     def _annotate_circuit(
         self, approach: str, breaker: CircuitBreaker
@@ -889,8 +919,8 @@ class RouteService:
             cache_span.set_attribute("hits", len(outcomes))
             cache_span.set_attribute("misses", len(to_plan))
 
-        # Fast-fail approaches whose circuit is open before spending a
-        # worker (or the deadline) on them.
+        # Fast-fail approaches whose circuit is open before spending the
+        # deadline on them.
         admitted: List[Tuple[str, Tuple, AlternativeRoutePlanner]] = []
         for approach, key, planner in to_plan:
             breaker = self._breakers.get(approach)
@@ -907,17 +937,12 @@ class RouteService:
                 error=f"CircuitOpenError: {rejection}",
             )
 
-        # One cooperative deadline shared by the whole fan-out; armed
-        # inside each worker's copied context by _plan_one.
-        deadline = (
-            Deadline.after(self.timeout_s)
-            if self.propagate_deadline and admitted
-            else None
-        )
-        # One search context shared by the whole fan-out: the first
-        # tree-using planner builds each SP tree under the cell lock,
-        # the rest read it.  Pool-backed contexts additionally share
-        # cells across the queries of a batch.
+        # One cooperative deadline bounds the whole query, and one
+        # search context serves all its planners: the first tree-using
+        # planner builds each SP tree, the rest read it.  Pool-backed
+        # contexts additionally share trees across the queries of a
+        # batch.
+        deadline = Deadline.after(self.timeout_s)
         search_context: Optional[SearchContext] = None
         hits_before = misses_before = 0
         if self.share_context and admitted:
@@ -929,81 +954,15 @@ class RouteService:
                 )
             hits_before = search_context.tree_hits
             misses_before = search_context.tree_misses
-        pending = {}
         for approach, key, planner in admitted:
-            # Copy the submitting thread's context so the worker's
-            # plan.<approach> span lands in *this* query's trace — the
-            # pool threads otherwise carry no (or a stale) trace context.
-            context = contextvars.copy_context()
-            future = self._executor.submit(
-                context.run,
-                self._plan_one, approach, planner, source, target,
-                query.k, deadline, search_context, query.backend,
-            )
-            pending[future] = (approach, key, time.perf_counter())
-
-        done, not_done = wait(pending, timeout=self.timeout_s)
-        for future in done:
-            approach, key, submitted = pending[future]
-            elapsed = time.perf_counter() - submitted
-            label = _blinded_label(approach)
-            error = future.exception()
-            if error is not None:
-                if isinstance(error, PlanningTimeout):
-                    metrics.inc(f"plan.timeouts.{approach}")
-                else:
-                    metrics.inc(f"plan.errors.{approach}")
-                self._record_failure(approach, error)
-                logger.warning(
-                    "planner %s failed: %s: %s",
-                    approach, type(error).__name__, error,
-                )
-                outcomes[approach] = ApproachOutcome(
-                    approach=approach,
-                    label=label,
-                    error=f"{type(error).__name__}: {error}",
-                    elapsed_s=elapsed,
-                )
-                continue
-            route_set = future.result()
-            breaker = self._breakers.get(approach)
-            if breaker is not None:
-                breaker.record_success()
-            self._record_search_stats(approach, route_set)
-            self.cache.put(key, route_set)
-            outcomes[approach] = ApproachOutcome(
-                approach=approach,
-                label=label,
-                route_set=route_set,
-                elapsed_s=elapsed,
-            )
-        if not_done and deadline is not None:
-            # The wait window closed; trip the shared deadline so even
-            # planners between strided checks (or queued tasks that
-            # sneak onto a worker) unwind at their next check.
-            deadline.cancel()
-        for future in not_done:
-            future.cancel()  # drops tasks that never reached a worker
-            approach, _key, submitted = pending[future]
-            metrics.inc(f"plan.timeouts.{approach}")
-            self._record_failure(approach, None)
-            logger.warning(
-                "planner %s exceeded the %gs deadline",
-                approach, self.timeout_s,
-            )
-            outcomes[approach] = ApproachOutcome(
-                approach=approach,
-                label=_blinded_label(approach),
-                error=(
-                    f"TimeoutError: planner exceeded the "
-                    f"{self.timeout_s:g}s deadline"
-                ),
-                elapsed_s=time.perf_counter() - submitted,
+            outcomes[approach] = self._plan_one(
+                approach, key, planner, source, target, query, deadline,
+                search_context,
             )
 
         if search_context is not None:
             # Per-query deltas: pool-backed cells accumulate across a
-            # whole batch, so subtract the pre-fan-out totals.
+            # whole batch, so subtract the totals before this query.
             hits = search_context.tree_hits - hits_before
             misses = search_context.tree_misses - misses_before
             if hits:
@@ -1011,14 +970,15 @@ class RouteService:
             if misses:
                 metrics.inc("context.tree_misses", misses)
 
+        ordered = tuple(outcomes[name] for name in names)
         route_sets = {
             outcome.label: outcome.route_set
-            for outcome in outcomes.values()
+            for outcome in ordered
             if outcome.ok
         }
         errors = {
             outcome.label: outcome.error
-            for outcome in outcomes.values()
+            for outcome in ordered
             if not outcome.ok
         }
         weights = processor.display_weights()
@@ -1042,9 +1002,6 @@ class RouteService:
                 f"no approach produced a route for nodes "
                 f"{source} -> {target} ({detail})"
             )
-        ordered = tuple(
-            outcomes[name] for name in names if name in outcomes
-        )
         return ServiceResult(
             source_node=source,
             target_node=target,

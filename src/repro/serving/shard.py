@@ -1,8 +1,8 @@
 """Per-city worker-process shards over zero-copy mmap snapshots.
 
 The paper's study spans three independent city networks, which is a
-natural shard key: one worker *process* per city sidesteps the GIL cap
-on the thread-pool fan-out, and each worker serves the unmodified
+natural shard key: one worker *process* per city gives each city its
+own interpreter (and GIL), and each worker serves the unmodified
 :class:`~repro.serving.service.RouteService` — same planners, cache,
 breakers, shedding, live-traffic pipeline — so behaviour is
 route-for-route identical to single-process serving (the differential
@@ -25,6 +25,10 @@ replies arrive.  Payloads crossing the boundary are the JSON wire
 shapes (a parsed :class:`~repro.serving.query.RouteRequest` in,
 ``RouteResponse.to_json()`` plus result fingerprints out) — never
 pickled route sets, which would drag whole networks through the pipe.
+A library error (:class:`~repro.exceptions.ReproError`) raised in the
+worker crosses pickled, so the parent re-raises it as its own type
+with its attributes (``retry_after_s``, ``city``, ...); anything else
+arrives as a :class:`~repro.exceptions.QueryError` naming the type.
 
 Failure is per-shard: a worker crash fails that shard's in-flight
 requests with :class:`~repro.exceptions.ShardCrashedError`, marks the
@@ -49,17 +53,18 @@ import itertools
 import logging
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-import repro.exceptions as exceptions_module
 from repro.exceptions import (
     ConfigurationError,
     QueryError,
+    ReproError,
     ShardCrashedError,
     ShardError,
     ShardUnavailableError,
@@ -90,6 +95,10 @@ class ShardSpec:
     attaches a per-shard
     :class:`~repro.serving.live.LiveTrafficController` so the parent
     can stream traffic batches into exactly one city.
+
+    ``max_workers`` is ignored: the worker plans serially on its one
+    serving thread.  The field stays so specs written against the
+    former planner pool still construct.
     """
 
     city: str
@@ -101,7 +110,7 @@ class ShardSpec:
     precompute_ch: bool = False
     live: bool = False
     cache_size: int = 1024
-    max_workers: int = 2
+    max_workers: Optional[int] = None
     timeout_s: float = 30.0
     breaker_threshold: Optional[int] = None
     max_inflight: Optional[int] = None
@@ -148,7 +157,6 @@ def _build_worker_service(spec: ShardSpec):
         network,
         planners=planners,
         cache_size=spec.cache_size,
-        max_workers=spec.max_workers,
         timeout_s=spec.timeout_s,
         precompute_landmarks=spec.precompute_landmarks,
         precompute_ch=spec.precompute_ch,
@@ -249,30 +257,35 @@ def _worker_main(spec: ShardSpec, requests, replies) -> None:
                 raise ConfigurationError(f"unknown shard op {op!r}")
             replies.put((req_id, "ok", out))
         except Exception as exc:
-            replies.put(
-                (
-                    req_id,
-                    "error",
-                    {
-                        "type": type(exc).__name__,
-                        "message": str(exc),
-                        "retry_after_s": getattr(exc, "retry_after_s", None),
-                    },
-                )
-            )
+            replies.put((req_id, "error", _encode_error(exc)))
 
 
-def _rebuild_error(city: str, info: Mapping) -> Exception:
-    """Best-effort typed reconstruction of a worker-side exception."""
-    name = info.get("type", "QueryError")
-    message = info.get("message", "shard request failed")
-    cls = getattr(exceptions_module, name, None)
-    if isinstance(cls, type) and issubclass(cls, Exception):
+def _encode_error(exc: Exception):
+    """A worker-side exception as it crosses the pipe.
+
+    Library errors travel pickled, here rather than in the queue's
+    feeder thread, so one that cannot be pickled still gets a reply:
+    it falls back, like any other exception, to a ``{type, message}``
+    envelope.
+    """
+    if isinstance(exc, ReproError):
         try:
-            return cls(message)
-        except TypeError:
-            pass  # structured __init__; fall through to the envelope
-    return QueryError(f"shard {city!r}: {name}: {message}")
+            return pickle.dumps(exc)
+        except (pickle.PicklingError, TypeError, AttributeError) as failure:
+            logger.warning("sending %r as an envelope: %s", exc, failure)
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
+def _rebuild_error(city: str, payload) -> Exception:
+    """The parent-side exception for a worker's error reply."""
+    if isinstance(payload, bytes):
+        try:
+            return pickle.loads(payload)
+        except Exception as exc:
+            return QueryError(f"shard {city!r}: unreadable error: {exc}")
+    return QueryError(
+        f"shard {city!r}: {payload['type']}: {payload['message']}"
+    )
 
 
 # -- parent side -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the demo query processor."""
+"""Tests for the demo query processor, and the route service running it."""
 
 import pytest
 
@@ -6,6 +6,7 @@ from repro.demo import APPROACH_LABELS, QueryProcessor
 from repro.exceptions import OutsideServiceAreaError, QueryError
 from repro.experiments import default_planners
 from repro.geometry import BoundingBox
+from repro.serving import RouteService
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +15,12 @@ def processor():
 
     network = melbourne(size="small")
     return QueryProcessor(network, default_planners(network))
+
+
+@pytest.fixture(scope="module")
+def service(processor):
+    with RouteService(processor, cache_size=0) as service:
+        yield service
 
 
 def far_corners(processor):
@@ -57,29 +64,29 @@ class TestMatching:
 
 
 class TestProcess:
-    def test_result_structure(self, processor):
+    def test_result_structure(self, processor, service):
         (s_lat, s_lon), (t_lat, t_lon) = far_corners(processor)
-        result = processor.process(s_lat, s_lon, t_lat, t_lon)
+        result = service.query(s_lat, s_lon, t_lat, t_lon)
         assert set(result.route_sets) == {"A", "B", "C", "D"}
         assert result.fastest_minutes >= 1
         assert result.source_node != result.target_node
 
-    def test_every_route_set_connects_the_query(self, processor):
+    def test_every_route_set_connects_the_query(self, processor, service):
         (s_lat, s_lon), (t_lat, t_lon) = far_corners(processor)
-        result = processor.process(s_lat, s_lon, t_lat, t_lon)
+        result = service.query(s_lat, s_lon, t_lat, t_lon)
         for route_set in result.route_sets.values():
             assert route_set.source == result.source_node
             assert route_set.target == result.target_node
 
-    def test_same_vertex_query_rejected(self, processor):
+    def test_same_vertex_query_rejected(self, processor, service):
         node = processor.network.node(5)
         with pytest.raises(QueryError):
-            processor.process(node.lat, node.lon, node.lat, node.lon)
+            service.query(node.lat, node.lon, node.lat, node.lon)
 
-    def test_geojson_payload(self, processor):
+    def test_geojson_payload(self, processor, service):
         (s_lat, s_lon), (t_lat, t_lon) = far_corners(processor)
-        result = processor.process(s_lat, s_lon, t_lat, t_lon)
-        payload = result.to_geojson(processor.display_weights())
+        result = service.query(s_lat, s_lon, t_lat, t_lon)
+        payload = service.render(result)["routes"]
         for label, collection in payload.items():
             assert collection["type"] == "FeatureCollection"
             assert collection["properties"]["label"] == label
@@ -95,23 +102,23 @@ class TestProcess:
 
 
 class TestRouteQueryForm:
-    """process() accepts a typed RouteQuery with serving overrides."""
+    """query() accepts a typed RouteQuery with serving overrides."""
 
-    def test_route_query_matches_positional_call(self, processor):
+    def test_route_query_matches_positional_call(self, processor, service):
         from repro.serving import RouteQuery
 
         (s_lat, s_lon), (t_lat, t_lon) = far_corners(processor)
-        positional = processor.process(s_lat, s_lon, t_lat, t_lon)
-        typed = processor.process(RouteQuery(s_lat, s_lon, t_lat, t_lon))
+        positional = service.query(s_lat, s_lon, t_lat, t_lon)
+        typed = service.query(RouteQuery(s_lat, s_lon, t_lat, t_lon))
         assert set(typed.route_sets) == set(positional.route_sets)
         assert typed.fastest_minutes == positional.fastest_minutes
         assert typed.source_node == positional.source_node
 
-    def test_approaches_subset_keeps_blinded_labels(self, processor):
+    def test_approaches_subset_keeps_blinded_labels(self, processor, service):
         from repro.serving import RouteQuery
 
         (s_lat, s_lon), (t_lat, t_lon) = far_corners(processor)
-        result = processor.process(
+        result = service.query(
             RouteQuery(
                 s_lat, s_lon, t_lat, t_lon,
                 approaches=("Penalty", "Plateaus"),
@@ -119,31 +126,31 @@ class TestRouteQueryForm:
         )
         assert set(result.route_sets) == {"B", "D"}
 
-    def test_k_override_trims_route_sets(self, processor):
+    def test_k_override_trims_route_sets(self, processor, service):
         from repro.serving import RouteQuery
 
         (s_lat, s_lon), (t_lat, t_lon) = far_corners(processor)
-        result = processor.process(
+        result = service.query(
             RouteQuery(s_lat, s_lon, t_lat, t_lon, k=1)
         )
         assert all(len(rs) == 1 for rs in result.route_sets.values())
 
-    def test_unknown_approach_rejected(self, processor):
+    def test_unknown_approach_rejected(self, processor, service):
         from repro.serving import RouteQuery
 
         (s_lat, s_lon), (t_lat, t_lon) = far_corners(processor)
         with pytest.raises(QueryError, match="unknown approaches"):
-            processor.process(
+            service.query(
                 RouteQuery(s_lat, s_lon, t_lat, t_lon, approaches=("X",))
             )
 
-    def test_mixing_query_and_coordinates_rejected(self, processor):
+    def test_mixing_query_and_coordinates_rejected(self, processor, service):
         from repro.serving import RouteQuery
 
         (s_lat, s_lon), (t_lat, t_lon) = far_corners(processor)
         query = RouteQuery(s_lat, s_lon, t_lat, t_lon)
         with pytest.raises(QueryError):
-            processor.process(query, s_lon)
+            service.query(query, s_lon)
 
 
 class TestEmptyRouteSets:
@@ -164,8 +171,9 @@ class TestEmptyRouteSets:
         )
         source = grid10.node(0)
         target = grid10.node(grid10.num_nodes - 1)
-        with pytest.raises(QueryError, match="empty route set"):
-            processor.process(source.lat, source.lon, target.lat, target.lon)
+        with RouteService(processor) as service:
+            with pytest.raises(QueryError, match="empty route set"):
+                service.query(source.lat, source.lon, target.lat, target.lon)
 
 
 class TestRegistryDefaults:

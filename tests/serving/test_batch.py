@@ -126,22 +126,3 @@ class TestBatchEqualsSingleQueries:
             assert outcome.result.route_sets == single.route_sets
             assert outcome.result.fastest_minutes == single.fastest_minutes
 
-
-class TestProcessorBatch:
-    def test_process_many_matches_process(self, grid10):
-        processor = QueryProcessor(grid10, paper_planners(grid10))
-        queries = [
-            _grid_query(grid10, 0, 99),
-            _grid_query(grid10, 0, 90),
-        ]
-        singles = [processor.process(query) for query in queries]
-        batched = processor.process_many(queries)
-        assert len(batched) == 2
-        for single, many in zip(singles, batched):
-            assert many.route_sets == single.route_sets
-            assert many.fastest_minutes == single.fastest_minutes
-
-    def test_process_many_propagates_errors(self, grid10):
-        processor = QueryProcessor(grid10, paper_planners(grid10))
-        with pytest.raises(QueryError):
-            processor.process_many([_grid_query(grid10, 5, 5)])

@@ -322,9 +322,10 @@ class TestServiceResilience:
     def test_hanging_planner_frees_its_worker(
         self, grid10, stub_planners, grid_query
     ):
-        """2x max_workers sequential queries all complete near the
-        timeout: cancelled hangs release their pool threads instead of
-        leaking them until the pool starves (the old behaviour)."""
+        """A cooperative hang unwinds at the query deadline, so every
+        query returns near the timeout.  Until B's circuit opens, the
+        hang costs the approaches after it (C and D are not started and
+        their breakers stay closed); once it opens, they serve again."""
         planners = dict(stub_planners)
         planners["Plateaus"] = HangingPlanner(grid10, "Plateaus")
         from repro.demo.query_processor import QueryProcessor
@@ -333,20 +334,27 @@ class TestServiceResilience:
         service = RouteService(
             processor,
             cache_size=0,
-            max_workers=2,
             timeout_s=0.2,
-            breaker_threshold=0,
+            breaker_threshold=2,
+            breaker_cooldown_s=60.0,
         )
         try:
-            for _ in range(4):  # 2 x max_workers
+            served = []
+            for _ in range(4):
                 started = time.perf_counter()
                 result = service.query(grid_query)
                 elapsed = time.perf_counter() - started
-                assert sorted(result.route_sets) == ["A", "C", "D"]
-                assert "B" in result.errors
                 assert elapsed < 2.0, "query latency not bounded"
+                served.append(list(result.route_sets))
+                assert "B" in result.errors
+            assert served == [["A"], ["A"], ["A", "C", "D"], ["A", "C", "D"]]
+            assert planners["Plateaus"].calls == 2
             counters = service.metrics_payload()["counters"]
-            assert counters["plan.timeouts.Plateaus"] == 4
+            assert counters["plan.timeouts.Plateaus"] == 2
+            assert counters["plan.rejected.Plateaus"] == 2
+            assert counters["plan.timeouts.Dissimilarity"] == 2
+            assert counters["plan.timeouts.Penalty"] == 2
+            assert service.open_circuits() == ["Plateaus"]
         finally:
             service.close()
 

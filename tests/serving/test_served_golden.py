@@ -14,10 +14,13 @@ committed copy under ``tests/serving/golden/``.  Each trip contributes:
   ``routes``, ``errors``, ``degraded``), after a JSON round trip;
 * every planner's routes as edge ids, travel times and lengths;
 * every planner's :class:`~repro.observability.search.SearchStats`
-  counters.  The planners share one search context and run on two
-  threads, so which planner builds a shared tree (and is charged its
-  expansions) depends on scheduling: the four tree-dependent counters
-  are pinned as per-trip sums, which do not.
+  counters.  The planners share one search context, so the four
+  tree-dependent counters are charged to whichever planner builds a
+  shared tree; the answer digest pins them as per-trip sums.
+
+Planning is serial in the fixed A-D order, so which planner builds each
+shared tree is fixed too: a second digest, committed as
+``served_tree_counters.json``, pins those four counters per planner.
 
 Dijkstra's heap breaks distance ties by node id, so arc order only
 decides between *parallel* arcs of equal cost, and the city networks
@@ -52,6 +55,7 @@ from repro.graph.csr import map_snapshot, save_snapshot
 from repro.serving import RouteQuery, RouteService
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "served_answers.json"
+COUNTERS_PATH = GOLDEN_PATH.with_name("served_tree_counters.json")
 
 CITIES = ("copenhagen", "dhaka", "melbourne")
 SIZE = "full"
@@ -79,7 +83,8 @@ COMPARED_KEYS = (
     "degraded",
 )
 
-#: Counters charged to whichever planner builds a shared tree first.
+#: Counters charged to the planner that builds a shared tree (the first
+#: tree-using one in A-D order).
 SCHEDULE_DEPENDENT = (
     "nodes_expanded", "edges_relaxed", "context_tree_hits",
     "context_tree_misses",
@@ -114,7 +119,8 @@ def _doubled_lattice(rows: int, cols: int, spacing_m: float = 500.0):
     return builder.build()
 
 
-def _trip_record(service: RouteService, network, pair) -> dict:
+def _trip_record(service: RouteService, network, pair):
+    """The trip's answer record and its per-planner tree counters."""
     source, target = network.node(pair[0]), network.node(pair[1])
     result = service.query(
         RouteQuery(source.lat, source.lon, target.lat, target.lon)
@@ -127,10 +133,14 @@ def _trip_record(service: RouteService, network, pair) -> dict:
     }
     totals = dict.fromkeys(SCHEDULE_DEPENDENT, 0)
     planners = {}
+    tree_counters = {}
     for label, route_set in sorted(result.route_sets.items()):
         counters = route_set.stats.to_payload()
+        tree_counters[label] = {
+            name: counters.pop(name) for name in SCHEDULE_DEPENDENT
+        }
         for name in SCHEDULE_DEPENDENT:
-            totals[name] += counters.pop(name)
+            totals[name] += tree_counters[label][name]
         planners[label] = {
             "approach": route_set.approach,
             "routes": [
@@ -141,7 +151,7 @@ def _trip_record(service: RouteService, network, pair) -> dict:
         }
     record["planners"] = planners
     record["search_totals"] = totals
-    return record
+    return record, tree_counters
 
 
 def _digest(records) -> str:
@@ -149,20 +159,23 @@ def _digest(records) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _serve(network, pairs) -> list:
+def _serve(network, pairs):
+    """(answer records, tree counters), one of each per trip."""
     service = RouteService.from_network(
-        network, cache_size=1024, max_workers=2, timeout_s=120.0
+        network, cache_size=1024, timeout_s=120.0
     )
     try:
-        return [_trip_record(service, network, pair) for pair in pairs]
+        trips = [_trip_record(service, network, pair) for pair in pairs]
     finally:
         service.close()
+    return [record for record, _ in trips], [counters for _, counters in trips]
 
 
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
     """Per network: (digest of all mapped trips, mapped prefix,
-    in-memory prefix), the two prefixes as record lists."""
+    in-memory prefix, digest of all mapped tree counters), the two
+    prefixes as (records, counters) pairs of lists."""
     out = {}
     for key, build in NETWORKS.items():
         network = build()
@@ -172,46 +185,57 @@ def served(tmp_path_factory):
         # same graph, so the trips are identical either way.
         pairs = sample_od_pairs(network, TRIPS, label="perfbench-cold")
         mapped = map_snapshot(str(path))
-        mapped_records = _serve(mapped.network, pairs)
-        memory_records = _serve(network, pairs[:IN_MEMORY_TRIPS])
+        records, counters = _serve(mapped.network, pairs)
+        memory = _serve(network, pairs[:IN_MEMORY_TRIPS])
         out[key] = (
-            _digest(mapped_records),
-            mapped_records[:IN_MEMORY_TRIPS],
-            memory_records,
+            _digest(records),
+            (records[:IN_MEMORY_TRIPS], counters[:IN_MEMORY_TRIPS]),
+            memory,
+            _digest(counters),
         )
     return out
 
 
-def test_served_answers_match_golden(served):
-    digests = {key: served[key][0] for key in NETWORKS}
+def _check_golden(path: Path, digests, what: str) -> None:
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
-        GOLDEN_PATH.parent.mkdir(exist_ok=True)
-        GOLDEN_PATH.write_text(
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(
             json.dumps(digests, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-    assert GOLDEN_PATH.exists(), (
-        f"golden file {GOLDEN_PATH} missing; run with "
+    assert path.exists(), (
+        f"golden file {path} missing; run with "
         "REPRO_UPDATE_GOLDEN=1 to create it"
     )
-    expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    expected = json.loads(path.read_text(encoding="utf-8"))
     drifted = [key for key in NETWORKS if digests[key] != expected.get(key)]
     assert not drifted, (
-        f"served answers drifted for {drifted}; if the change is "
+        f"{what} drifted for {drifted}; if the change is "
         "intended, re-bless with REPRO_UPDATE_GOLDEN=1 and review the "
         "diff"
     )
 
 
+def test_served_answers_match_golden(served):
+    digests = {key: served[key][0] for key in NETWORKS}
+    _check_golden(GOLDEN_PATH, digests, "served answers")
+
+
+def test_tree_counters_per_planner_match_golden(served):
+    digests = {key: served[key][3] for key in NETWORKS}
+    _check_golden(COUNTERS_PATH, digests, "per-planner tree counters")
+
+
 @pytest.mark.parametrize("key", sorted(NETWORKS))
 def test_in_memory_network_serves_the_mapped_answers(served, key):
-    _digest_all, mapped_prefix, memory_prefix = served[key]
-    assert _digest(memory_prefix) == _digest(mapped_prefix)
+    _digest_all, mapped_prefix, memory_prefix, _counters = served[key]
+    assert _digest(memory_prefix[0]) == _digest(mapped_prefix[0])
+    assert _digest(memory_prefix[1]) == _digest(mapped_prefix[1])
 
 
 @pytest.mark.parametrize("key", sorted(NETWORKS))
 def test_every_trip_is_a_complete_answer(served, key):
-    _digest_all, mapped_prefix, _memory = served[key]
+    _digest_all, (mapped_prefix, _counters), _memory, _ = served[key]
     for record in mapped_prefix:
         assert not record["answer"]["degraded"], record["answer"]["errors"]
         assert sorted(record["planners"]) == ["A", "B", "C", "D"]

@@ -58,12 +58,6 @@ class TestServing:
         result = service.query(query)
         assert all(len(rs) == 1 for rs in result.route_sets.values())
 
-    def test_to_demo_result_round_trip(self, service, grid_query):
-        result = service.query(grid_query)
-        demo = result.to_demo_result()
-        assert demo.route_sets == result.route_sets
-        assert demo.fastest_minutes == result.fastest_minutes
-
 
 class TestCacheIntegration:
     def test_hit_skips_planner_invocation(
@@ -124,18 +118,27 @@ class TestDegradation:
     def test_timeout_yields_marker_not_exception(
         self, grid_processor, grid_query, stub_planners
     ):
-        stub_planners["Dissimilarity"].delay_s = 2.0
+        """Planning is serial in A-D order under one deadline: C overruns
+        it (a timeout that feeds C's breaker), and D, whose turn comes
+        after it expired, is not started (a timeout that does not)."""
+        stub_planners["Dissimilarity"].delay_s = 0.4
         service = RouteService(
-            grid_processor, cache_size=0, timeout_s=0.2
+            grid_processor, cache_size=0, timeout_s=0.2, breaker_threshold=1
         )
         try:
             result = service.query(grid_query)
         finally:
             service.close()
-        assert sorted(result.route_sets) == ["A", "B", "D"]
+        assert list(result.route_sets) == ["A", "B"]
+        assert list(result.errors) == ["C", "D"]
         assert "TimeoutError" in result.errors["C"]
+        assert "TimeoutError" in result.errors["D"]
+        assert "before the planner started" in result.errors["D"]
+        assert stub_planners["Penalty"].calls == 0
         counters = service.metrics_payload()["counters"]
         assert counters["plan.timeouts.Dissimilarity"] == 1
+        assert counters["plan.timeouts.Penalty"] == 1
+        assert service.open_circuits() == ["Dissimilarity"]
 
     def test_every_approach_failing_raises(
         self, service, grid_query, stub_planners
@@ -201,10 +204,6 @@ class TestMetrics:
 
 
 class TestConfiguration:
-    def test_bad_worker_count_rejected(self, grid_processor):
-        with pytest.raises(ConfigurationError):
-            RouteService(grid_processor, max_workers=0)
-
     def test_bad_timeout_rejected(self, grid_processor):
         with pytest.raises(ConfigurationError):
             RouteService(grid_processor, timeout_s=0.0)

@@ -237,8 +237,31 @@ class TestServe:
                     break
                 assert time.monotonic() < deadline, "worker outlived serve"
                 time.sleep(0.1)
+            assert not list(tmp_path.glob("repro-shards-*"))
         finally:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
             proc.stdout.close()
+
+    def test_startup_failure_removes_the_snapshot_directory(self, tmp_path):
+        import os
+        import socket
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src, TMPDIR=str(tmp_path))
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--shard",
+                 "melbourne", "--size", "small", "--port", str(port)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+        assert proc.returncode != 0
+        assert "built snapshot" in proc.stderr
+        assert not list(tmp_path.glob("repro-shards-*"))
