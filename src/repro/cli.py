@@ -722,9 +722,7 @@ def _cmd_serve(args) -> int:
     # stops the workers and removes the snapshot directory.
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
     with contextlib.ExitStack() as stack:
-        router = ShardRouter(_shard_specs(args, stack))
-        stack.callback(router.close)
-        router.start()
+        router = stack.enter_context(ShardRouter(_shard_specs(args, stack)))
         frontend = ShardFrontend(router)
         host, port = frontend.bind(args.host, args.port)
         print(
@@ -769,9 +767,9 @@ def _cmd_loadgen(args) -> int:
 
             args.shard = cities
             args.live = False
-            router = ShardRouter(_shard_specs(args, stack))
-            stack.callback(router.close)
-            router.start()
+            router = stack.enter_context(
+                ShardRouter(_shard_specs(args, stack))
+            )
             target = router_target(router)
         else:
             from repro.serving import RouteService

@@ -745,14 +745,16 @@ class RouteService:
         deadline: Deadline,
         context: Optional[SearchContext],
     ) -> ApproachOutcome:
-        """Plan one admitted approach under the query's deadline.
+        """Plan one cache-missed approach under the query's deadline.
 
         A planner that raises :class:`PlanningTimeout`, or that returns
         after the deadline expired, is a timeout: it counts in
         ``plan.timeouts.<approach>`` and feeds its circuit breaker.  An
         approach whose turn comes after the deadline expired is not
         started; it gets a timeout marker and count too, but its breaker
-        is left alone because it did nothing wrong.
+        is left alone because it did nothing wrong.  The breaker is
+        asked only once the approach is about to start, so an approach
+        that is not started never takes a half-open circuit's probe.
         """
         label = _blinded_label(approach)
         if deadline.expired:
@@ -768,6 +770,18 @@ class RouteService:
                     f"TimeoutError: the {self.timeout_s:g}s deadline "
                     f"expired before the planner started"
                 ),
+            )
+        breaker = self._breakers.get(approach)
+        if breaker is not None and not breaker.allow():
+            # Fast-fail an open circuit before spending the deadline.
+            rejection = CircuitOpenError(approach, breaker.retry_in_s())
+            self.metrics.inc(f"plan.rejected.{approach}")
+            self._annotate_circuit(approach, breaker)
+            logger.warning("planner %s rejected: %s", approach, rejection)
+            return ApproachOutcome(
+                approach=approach,
+                label=label,
+                error=f"CircuitOpenError: {rejection}",
             )
         started = time.perf_counter()
         try:
@@ -817,7 +831,6 @@ class RouteService:
                 error=f"{type(error).__name__}: {error}",
                 elapsed_s=time.perf_counter() - started,
             )
-        breaker = self._breakers.get(approach)
         if breaker is not None:
             breaker.record_success()
         self._record_search_stats(approach, route_set)
@@ -919,24 +932,6 @@ class RouteService:
             cache_span.set_attribute("hits", len(outcomes))
             cache_span.set_attribute("misses", len(to_plan))
 
-        # Fast-fail approaches whose circuit is open before spending the
-        # deadline on them.
-        admitted: List[Tuple[str, Tuple, AlternativeRoutePlanner]] = []
-        for approach, key, planner in to_plan:
-            breaker = self._breakers.get(approach)
-            if breaker is None or breaker.allow():
-                admitted.append((approach, key, planner))
-                continue
-            rejection = CircuitOpenError(approach, breaker.retry_in_s())
-            metrics.inc(f"plan.rejected.{approach}")
-            self._annotate_circuit(approach, breaker)
-            logger.warning("planner %s rejected: %s", approach, rejection)
-            outcomes[approach] = ApproachOutcome(
-                approach=approach,
-                label=_blinded_label(approach),
-                error=f"CircuitOpenError: {rejection}",
-            )
-
         # One cooperative deadline bounds the whole query, and one
         # search context serves all its planners: the first tree-using
         # planner builds each SP tree, the rest read it.  Pool-backed
@@ -945,7 +940,7 @@ class RouteService:
         deadline = Deadline.after(self.timeout_s)
         search_context: Optional[SearchContext] = None
         hits_before = misses_before = 0
-        if self.share_context and admitted:
+        if self.share_context and to_plan:
             if context_pool is not None:
                 search_context = context_pool.context(source, target)
             else:
@@ -954,7 +949,7 @@ class RouteService:
                 )
             hits_before = search_context.tree_hits
             misses_before = search_context.tree_misses
-        for approach, key, planner in admitted:
+        for approach, key, planner in to_plan:
             outcomes[approach] = self._plan_one(
                 approach, key, planner, source, target, query, deadline,
                 search_context,

@@ -628,13 +628,22 @@ class ShardRouter:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "ShardRouter":
-        """Spawn all workers, then block until every handshake lands."""
+        """Spawn all workers, then block until every handshake lands.
+
+        If any shard fails to start (or the wait is interrupted), the
+        workers already spawned are stopped before the error propagates,
+        so ``with ShardRouter(...)`` never leaks processes.
+        """
         if self._started:
             return self
-        for handle in self._handles.values():
-            handle.spawn()
-        for handle in self._handles.values():
-            handle.await_ready(self.ready_timeout_s)
+        try:
+            for handle in self._handles.values():
+                handle.spawn()
+            for handle in self._handles.values():
+                handle.await_ready(self.ready_timeout_s)
+        except BaseException:
+            self.close()
+            raise
         self._started = True
         return self
 

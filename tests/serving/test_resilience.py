@@ -311,10 +311,12 @@ class HangingPlanner(StubPlanner):
     def __init__(self, network, name, hang_s=5.0):
         super().__init__(network, name)
         self.hang_s = hang_s
+        self.hanging = True
 
     def _plan_routes(self, source, target):
-        self.calls += 1
-        interruptible_sleep(self.hang_s)
+        if self.hanging:
+            self.calls += 1
+            interruptible_sleep(self.hang_s)
         return super()._plan_routes(source, target)
 
 
@@ -398,6 +400,57 @@ class TestServiceResilience:
         finally:
             service.close()
 
+    def test_unstarted_approach_does_not_take_the_half_open_probe(
+        self, grid10, stub_planners, grid_query
+    ):
+        """B and C are both half-open and B's probe hangs past the
+        deadline: C is not started that query, so its probe must still
+        be free and C is probed (and heals) on the next query."""
+        clock = FakeClock()
+        planners = dict(stub_planners)
+        planners["Plateaus"] = HangingPlanner(grid10, "Plateaus")
+        planners["Plateaus"].hanging = False
+        from repro.demo.query_processor import QueryProcessor
+
+        processor = QueryProcessor(grid10, planners)
+        service = RouteService(
+            processor,
+            cache_size=0,
+            timeout_s=0.2,
+            breaker_threshold=1,
+            breaker_cooldown_s=30.0,
+            breaker_clock=clock,
+        )
+        try:
+            planners["Plateaus"].fail = True
+            planners["Dissimilarity"].fail = True
+            service.query(grid_query)
+            assert service.open_circuits() == ["Dissimilarity", "Plateaus"]
+
+            planners["Plateaus"].fail = False
+            planners["Plateaus"].hanging = True
+            planners["Dissimilarity"].fail = False
+            clock.advance(31.0)
+            result = service.query(grid_query)
+            assert list(result.route_sets) == ["A"]
+            assert "TimeoutError" in result.errors["B"]
+            assert "exceeded" in result.errors["B"]
+            assert "expired before the planner started" in result.errors["C"]
+            circuits = service.circuits_payload()
+            assert circuits["Plateaus"]["state"] == CIRCUIT_OPEN
+            assert circuits["Dissimilarity"]["state"] == CIRCUIT_HALF_OPEN
+
+            calls = planners["Dissimilarity"].calls
+            result = service.query(grid_query)
+            assert planners["Dissimilarity"].calls == calls + 1
+            assert list(result.route_sets) == ["A", "C", "D"]
+            assert "CircuitOpenError" in result.errors["B"]
+            circuits = service.circuits_payload()
+            assert circuits["Dissimilarity"]["state"] == CIRCUIT_CLOSED
+            assert service.open_circuits() == ["Plateaus"]
+        finally:
+            service.close()
+
     def test_query_errors_do_not_trip_the_breaker(
         self, grid_processor, grid_query
     ):
@@ -462,12 +515,15 @@ class TestServiceResilience:
         finally:
             service.close()
 
-    def test_close_is_idempotent(self, grid_processor):
+    def test_close_is_idempotent(self, grid_processor, grid_query):
+        """Planning runs on the caller's thread, so closing releases
+        nothing: it may be repeated and the service still answers."""
         service = RouteService(grid_processor)
         service.close()
         service.close()
-        with pytest.raises(Exception):
-            service._executor.submit(lambda: None)
+        with service:
+            result = service.query(grid_query)
+        assert list(result.route_sets) == ["A", "B", "C", "D"]
 
     def test_circuit_open_error_message(self):
         error = CircuitOpenError("Penalty", 12.0)

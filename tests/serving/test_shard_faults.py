@@ -206,3 +206,24 @@ class TestRouterValidation:
         router.close()
         for city in router.cities:
             assert router.handle(city).state == SHARD_STOPPED
+
+    def test_failed_start_stops_the_spawned_workers(
+        self, snapshots, tmp_path
+    ):
+        """One shard cannot start: the router stops the workers it
+        already spawned before the error reaches the caller."""
+        specs = [
+            ShardSpec(city="dhaka", snapshot_path=snapshots["dhaka"]),
+            ShardSpec(
+                city="melbourne",
+                snapshot_path=str(tmp_path / "missing.rprn"),
+            ),
+        ]
+        router = ShardRouter(specs)
+        with pytest.raises(ShardUnavailableError):
+            with router:
+                pytest.fail("a router with a broken shard started")
+        for city in router.cities:
+            handle = router.handle(city)
+            assert handle.state == SHARD_STOPPED
+            assert not handle._proc.is_alive()
