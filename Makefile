@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-serving bench-chaos bench-csr bench-ch bench-traffic bench-load bench-citygen bench-suites bench-diff loadgen-smoke citygen-smoke replay-smoke serve-smoke traffic-replay-smoke examples report clean
+.PHONY: install test bench bench-serving bench-chaos bench-csr bench-ch bench-traffic bench-citygen bench-suites bench-diff citygen-smoke replay-smoke serve-smoke traffic-replay-smoke examples report clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -28,20 +28,12 @@ bench-ch:
 bench-traffic:
 	$(PYTHON) -m pytest benchmarks/bench_traffic.py -q
 
-bench-load:
-	$(PYTHON) -m pytest benchmarks/bench_load.py -q
-
 bench-citygen:
 	$(PYTHON) -m pytest benchmarks/bench_citygen.py -q
 
 # Destination-perturbation + diversification study-table analogues.
 bench-suites:
 	$(PYTHON) -m pytest benchmarks/bench_perturbation.py benchmarks/bench_diversification.py -q
-
-# The CI-sized open-loop harness run: sharded vs single-process ramp
-# plus the worker-kill availability window, at the small network size.
-loadgen-smoke:
-	REPRO_BENCH_SIZE=small $(PYTHON) -m pytest benchmarks/bench_load.py -q
 
 # The CI-sized streaming-build gate: both pipelines on the small
 # stress lattice in child interpreters, byte-identical snapshots, and
@@ -58,7 +50,6 @@ bench-diff:
 	$(PYTHON) -m repro bench diff benchmarks/baselines/BENCH_bench_ch.json benchmarks/output/BENCH_bench_ch.json
 	$(PYTHON) -m repro bench diff benchmarks/baselines/BENCH_bench_chaos.json benchmarks/output/BENCH_bench_chaos.json
 	$(PYTHON) -m repro bench diff benchmarks/baselines/BENCH_bench_traffic.json benchmarks/output/BENCH_bench_traffic.json
-	$(PYTHON) -m repro bench diff benchmarks/baselines/BENCH_bench_load.json benchmarks/output/BENCH_bench_load.json
 	$(PYTHON) -m repro bench diff benchmarks/baselines/BENCH_bench_citygen.json benchmarks/output/BENCH_bench_citygen.json
 	$(PYTHON) -m repro bench diff benchmarks/baselines/BENCH_bench_perturbation.json benchmarks/output/BENCH_bench_perturbation.json
 	$(PYTHON) -m repro bench diff benchmarks/baselines/BENCH_bench_diversification.json benchmarks/output/BENCH_bench_diversification.json

@@ -47,7 +47,6 @@ Serving::
 from repro.algorithms import (
     ContractionHierarchy,
     HubLabeling,
-    astar,
     bidirectional_dijkstra,
     dijkstra,
     shortest_path,
@@ -171,7 +170,6 @@ __all__ = [
     "YenPlanner",
     "__version__",
     "active_deadline",
-    "astar",
     "available_planners",
     "bidirectional_dijkstra",
     "build_study_network",

@@ -9,13 +9,10 @@ Everything in :mod:`repro.core` is built from the primitives here:
   structure the Plateaus and Dissimilarity planners join;
 * :func:`~repro.algorithms.dijkstra.shortest_path` — s-t convenience
   wrapper returning a :class:`~repro.graph.Path`;
-* :func:`~repro.algorithms.bidirectional.bidirectional_dijkstra` — the
-  faster point-to-point search used by the demo back end;
-* :func:`~repro.algorithms.astar.astar` — goal-directed search with a
-  great-circle lower bound.
+* :func:`~repro.algorithms.bidirectional.bidirectional_dijkstra` — a
+  point-to-point search meeting in the middle.
 """
 
-from repro.algorithms.astar import astar
 from repro.algorithms.bidirectional import bidirectional_dijkstra
 from repro.algorithms.contraction import ContractionHierarchy
 from repro.algorithms.dijkstra import (
@@ -39,7 +36,6 @@ __all__ = [
     "ShortestPathTree",
     "TimeDependentRouter",
     "TimedPath",
-    "astar",
     "bidirectional_dijkstra",
     "dijkstra",
     "shortest_path",

@@ -134,7 +134,7 @@ class CityProfile:
 #: Size presets mapping to lattice scale factors.  "small" is for unit
 #: tests, "medium" for the benchmark harness, "full" for the headline
 #: study runs, and "metro" is the million-node stress preset that only
-#: the streaming build path (``repro city build --stream``) can afford:
+#: the streaming build path (``repro city build``) can afford:
 #: at 24x the lattice, Melbourne reaches ~1056x1056 intersections
 #: (~1.08M surviving nodes, ~4.3M directed edges), far beyond what the
 #: document/object pipeline fits in memory.

@@ -17,7 +17,6 @@ Commands
 ``traffic``      generate or replay a live traffic-update log
 ``bench``        diff machine-readable BENCH_*.json results
 ``serve``        run the sharded multi-process route server
-``loadgen``      drive a target with seeded open-loop Poisson load
 """
 
 from __future__ import annotations
@@ -600,37 +599,18 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_city_build(args) -> int:
-    from repro.cities import CITY_PROFILES
+    from repro.cities import CITY_PROFILES, stream_build_city
 
-    profile = CITY_PROFILES[args.city]()
-    if args.stream:
-        from repro.cities import stream_build_city
-
-        report = stream_build_city(
-            profile,
-            size=args.size,
-            seed=args.seed,
-            output=args.out,
-            via_xml=not args.no_xml,
-            xml_path=args.xml_spool,
-        )
-        print(report.formatted())
-        print(f"wrote {args.out}")
-        return 0
-    if args.size == "metro":
-        raise ReproError(
-            "the metro preset only fits in memory on the streaming "
-            "path; re-run with --stream"
-        )
-    from repro.cities.generator import build_city_network
-    from repro.graph.csr import save_snapshot
-
-    network = build_city_network(profile, size=args.size, seed=args.seed)
-    save_snapshot(network, args.out)
-    print(
-        f"wrote {args.out} ({network.num_nodes} nodes, "
-        f"{network.num_edges} edges)"
+    report = stream_build_city(
+        CITY_PROFILES[args.city](),
+        size=args.size,
+        seed=args.seed,
+        output=args.out,
+        via_xml=not args.no_xml,
+        xml_path=args.xml_spool,
     )
+    print(report.formatted())
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -697,7 +677,7 @@ def _shard_specs(args, stack):
             path = str(tmp_dir / f"{city}-{args.size}-{args.seed}.rprn")
             network = CITY_BUILDERS[city](size=args.size, seed=args.seed)
             save_snapshot(network, path)
-            # status to stderr: loadgen's stdout is a JSON report
+            # status to stderr: stdout carries only the "serving" line
             print(f"built snapshot {path}", file=sys.stderr)
         specs.append(
             ShardSpec(
@@ -733,67 +713,6 @@ def _cmd_serve(args) -> int:
         # SIGTERM stops like Ctrl-C, so the workers are shut down too.
         signal.signal(signal.SIGTERM, lambda *_: frontend.shutdown())
         frontend.serve_forever()
-    return 0
-
-
-def _cmd_loadgen(args) -> int:
-    import contextlib
-    import signal
-
-    from repro.serving.loadgen import (
-        find_max_sustainable_rps,
-        router_target,
-        run_open_loop,
-        sample_queries,
-        services_target,
-    )
-
-    cities = sorted(set(args.cities.split(",")))
-    for city in cities:
-        if city not in CITY_BUILDERS:
-            raise ReproError(
-                f"unknown city {city!r} (choose from {_CITIES})"
-            )
-    networks = {
-        city: CITY_BUILDERS[city](size=args.size, seed=args.seed)
-        for city in cities
-    }
-    queries = sample_queries(networks, args.queries, seed=args.seed)
-
-    signal.signal(signal.SIGTERM, _exit_on_sigterm)
-    with contextlib.ExitStack() as stack:
-        if args.sharded:
-            from repro.serving.shard import ShardRouter
-
-            args.shard = cities
-            args.live = False
-            router = stack.enter_context(
-                ShardRouter(_shard_specs(args, stack))
-            )
-            target = router_target(router)
-        else:
-            from repro.serving import RouteService
-
-            services = {}
-            for city, network in networks.items():
-                service = RouteService.from_network(network)
-                stack.callback(service.close)
-                services[city] = service
-            target = services_target(services)
-
-        if args.ramp:
-            ramp = find_max_sustainable_rps(
-                target, queries,
-                start_rps=args.rate, duration_s=args.duration,
-                seed=args.seed, max_steps=args.ramp_steps,
-            )
-            payload = ramp.to_payload()
-        else:
-            window = run_open_loop(
-                target, queries, args.rate, args.duration, seed=args.seed
-            )
-            payload = window.to_payload()
-    print(json.dumps(payload, indent=2))
     return 0
 
 
@@ -997,23 +916,19 @@ def build_parser() -> argparse.ArgumentParser:
     city_build.add_argument("--city", default="melbourne", choices=_CITIES)
     city_build.add_argument(
         "--size", default="small", choices=_SIZES + ["metro"],
-        help='"metro" (~1M nodes) requires --stream',
+        help='"metro" is the ~1M-node stress preset',
     )
     city_build.add_argument("--seed", type=int, default=0)
     city_build.add_argument("--out", required=True)
-    city_build.add_argument(
-        "--stream", action="store_true",
-        help="generate, parse and assemble incrementally with bounded "
-        "memory; output is byte-identical to the in-memory path",
-    )
-    city_build.add_argument(
+    spool = city_build.add_mutually_exclusive_group()
+    spool.add_argument(
         "--no-xml", action="store_true",
-        help="streaming only: skip the on-disk OSM XML spool leg "
+        help="skip the on-disk OSM XML spool leg "
         "(same bytes out, less disk and time)",
     )
-    city_build.add_argument(
+    spool.add_argument(
         "--xml-spool", default=None,
-        help="streaming only: keep the intermediate OSM XML at this "
+        help="keep the intermediate OSM XML at this "
         "path instead of a deleted temp file",
     )
     city_build.set_defaults(handler=_cmd_city_build)
@@ -1208,47 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8081)
     serve.set_defaults(handler=_cmd_serve)
-
-    loadgen = commands.add_parser(
-        "loadgen",
-        help="drive a serving deployment with seeded open-loop "
-        "Poisson load and print the latency/availability report",
-    )
-    loadgen.add_argument(
-        "--cities", default="melbourne",
-        help="comma-separated traffic mix (default: melbourne)",
-    )
-    loadgen.add_argument("--size", default="small", choices=_SIZES)
-    loadgen.add_argument("--seed", type=int, default=0)
-    loadgen.add_argument(
-        "--queries", type=int, default=64,
-        help="distinct sampled queries cycled through (default: 64)",
-    )
-    loadgen.add_argument(
-        "--rate", type=float, default=5.0,
-        help="offered arrival rate in requests/s (ramp start when "
-        "--ramp is given; default: 5)",
-    )
-    loadgen.add_argument(
-        "--duration", type=float, default=10.0,
-        help="measured window length in seconds (per ramp step with "
-        "--ramp; default: 10)",
-    )
-    loadgen.add_argument(
-        "--ramp", action="store_true",
-        help="ramp the rate geometrically and report the max "
-        "sustainable RPS instead of one fixed-rate window",
-    )
-    loadgen.add_argument(
-        "--ramp-steps", type=int, default=8,
-        help="maximum ramp rungs (default: 8)",
-    )
-    loadgen.add_argument(
-        "--sharded", action="store_true",
-        help="drive a spawned ShardRouter deployment instead of "
-        "in-process per-city services",
-    )
-    loadgen.set_defaults(handler=_cmd_loadgen)
 
     return parser
 

@@ -15,16 +15,6 @@ Three components, mirroring the paper's architecture:
   SQLite store (:mod:`repro.demo.storage`).
 """
 
-from repro.demo.instructions import (
-    Instruction,
-    format_itinerary,
-    turn_instructions,
-)
-from repro.demo.gpx import (
-    parse_gpx_tracks,
-    route_set_to_gpx,
-    save_route_set_gpx,
-)
 from repro.demo.query_processor import APPROACH_LABELS, QueryProcessor
 from repro.demo.rendering import (
     ROUTE_COLORS,
@@ -40,15 +30,9 @@ __all__ = [
     "ROUTE_COLORS",
     "DemoServer",
     "FeedbackRecord",
-    "Instruction",
     "QueryProcessor",
     "ResponseStore",
-    "format_itinerary",
-    "parse_gpx_tracks",
-    "route_set_to_gpx",
     "route_set_to_feature_collection",
     "route_to_feature",
     "route_to_polyline",
-    "save_route_set_gpx",
-    "turn_instructions",
 ]

@@ -1,7 +1,7 @@
 """Polyline simplification (Douglas-Peucker).
 
 Long routes on a metropolitan network carry hundreds of vertices; the
-demo's map widget and the GPX export do not need metre-level fidelity.
+demo's map widget does not need metre-level fidelity.
 Douglas-Peucker keeps the endpoints and recursively retains the point
 furthest from the current chord while that distance exceeds a
 tolerance — the standard cartographic simplification.

@@ -66,7 +66,7 @@ from typing import BinaryIO, Dict, List, Optional, Sequence, Union
 
 from repro.algorithms.sp_tree import ShortestPathTree
 from repro.cancellation import DEADLINE_CHECK_MASK, active_deadline
-from repro.exceptions import ConfigurationError, SnapshotError
+from repro.exceptions import ConfigurationError, GraphError, SnapshotError
 from repro.graph.network import Edge, Node, RoadNetwork, active_epoch
 from repro.observability.search import active_search_stats
 
@@ -785,7 +785,9 @@ def _materialise_network(
             for i in range(m)
         ]
         return RoadNetwork(nodes, edges, name=name)
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, GraphError) as exc:
+        # GraphError: a flipped directory offset can point the endpoint
+        # arrays at other payloads, giving self-loops or unknown nodes.
         raise SnapshotError(f"inconsistent snapshot payload: {exc}") from exc
 
 

@@ -40,7 +40,7 @@ from repro.exceptions import ConfigurationError
 #: (quantile, allowed rank error) pairs the sketch is tuned for.
 #: Queries between targets are answered with the interpolated (looser)
 #: invariant; the tails are deliberately the tightest because p99/p999
-#: are what the load harness and the bench regression gate compare.
+#: are what the bench regression gate compares.
 DEFAULT_TARGETS: Tuple[Tuple[float, float], ...] = (
     (0.50, 0.010),
     (0.90, 0.005),

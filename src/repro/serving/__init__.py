@@ -49,17 +49,6 @@ from repro.serving.live import (
     LiveTrafficController,
     TrafficEvent,
 )
-from repro.serving.loadgen import (
-    FaultAction,
-    LoadResult,
-    RampResult,
-    find_max_sustainable_rps,
-    router_target,
-    run_open_loop,
-    sample_queries,
-    service_target,
-    services_target,
-)
 from repro.serving.metrics import (
     Counter,
     Histogram,
@@ -117,18 +106,15 @@ __all__ = [
     "DEFAULT_MAX_WEIGHT_RATIO",
     "DEFAULT_TIMEOUT_S",
     "Deadline",
-    "FaultAction",
     "FaultInjectingPlanner",
     "Histogram",
     "INVALIDATION_CAUSES",
     "InflightGate",
     "LiveTrafficController",
-    "LoadResult",
     "MetricsRegistry",
     "PlanningTimeout",
     "QUARANTINE_REASONS",
     "ROUTE_API_VERSION",
-    "RampResult",
     "RouteCache",
     "RouteQuery",
     "RouteRequest",
@@ -150,10 +136,4 @@ __all__ = [
     "TrafficUpdateError",
     "active_deadline",
     "deadline_scope",
-    "find_max_sustainable_rps",
-    "router_target",
-    "run_open_loop",
-    "sample_queries",
-    "service_target",
-    "services_target",
 ]

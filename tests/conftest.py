@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.cities import melbourne
@@ -16,6 +18,24 @@ def drop_accelerators(network: RoadNetwork) -> None:
     csr = ensure_csr(network)
     csr.landmarks = None
     csr.hierarchy = None
+
+
+@pytest.fixture(autouse=True)
+def restore_repro_logger():
+    """Snapshot and restore the ``repro`` logger around every test.
+
+    ``repro.cli.main`` calls ``configure_logging``, which stops
+    propagation and binds a handler to the stderr of the moment (under
+    pytest, a capture that is closed after the test).  Without the
+    restore, a later test's ``caplog`` sees nothing and that handler
+    writes to a closed file.
+    """
+    root = logging.getLogger("repro")
+    saved = (root.level, list(root.handlers), root.propagate)
+    yield root
+    root.setLevel(saved[0])
+    root.handlers[:] = saved[1]
+    root.propagate = saved[2]
 
 
 @pytest.fixture(scope="session")

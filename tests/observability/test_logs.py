@@ -2,7 +2,6 @@
 
 import io
 import json
-import logging
 
 import pytest
 
@@ -13,17 +12,6 @@ from repro.observability.logs import (
     get_logger,
 )
 from repro.observability.tracing import Tracer
-
-
-@pytest.fixture()
-def restore_repro_logger():
-    """Snapshot and restore the repro logger so tests stay isolated."""
-    root = logging.getLogger("repro")
-    saved = (root.level, list(root.handlers), root.propagate)
-    yield root
-    root.setLevel(saved[0])
-    root.handlers[:] = saved[1]
-    root.propagate = saved[2]
 
 
 def configure_to_buffer(**kwargs):

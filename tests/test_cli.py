@@ -95,6 +95,32 @@ class TestBuildCity:
         assert (tmp_path / "city.edges.csv").exists()
 
 
+class TestCityBuild:
+    def test_streams_keeps_the_spool_and_matches_snapshot_build(
+        self, tmp_path, capsys
+    ):
+        network_args = ["--city", "copenhagen", "--size", "small"]
+        spool = tmp_path / "copenhagen.osm.xml"
+        streamed = tmp_path / "streamed.rprn"
+        built = tmp_path / "built.rprn"
+        assert main(
+            ["city", "build", *network_args, "--xml-spool", str(spool),
+             "--out", str(streamed)]
+        ) == 0
+        assert main(
+            ["snapshot", "build", *network_args, "--out", str(built)]
+        ) == 0
+        assert spool.read_bytes().startswith(b"<?xml")
+        assert streamed.read_bytes() == built.read_bytes()
+
+    def test_no_xml_and_xml_spool_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["city", "build", "--no-xml", "--xml-spool", "city.osm",
+                 "--out", "city.rprn"]
+            )
+
+
 class TestFigure:
     def test_figure1(self, capsys):
         code = main(["figure", "--size", "small", "1"])
