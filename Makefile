@@ -59,23 +59,26 @@ replay-smoke:
 	$(PYTHON) -m repro replay benchmarks/data/query_log_tiny.jsonl
 
 # `repro serve` end to end: one small shard on an OS-picked port, a
-# flat route body (200) and an empty one (400), then SIGTERM must take
+# flat route body (200), the same body naming an approach the worker
+# does not serve (400) and an empty one (400), then SIGTERM must take
 # the whole process group (server and shard worker) down and leave no
 # temp snapshot directory behind.
 serve-smoke:
 	@set -e; out=$$(mktemp); err=$$(mktemp); \
 	setsid $(PYTHON) -m repro serve --shard melbourne --size small --port 0 > $$out 2> $$err & pid=$$!; \
-	trap 'kill -KILL -- -'$$pid' 2>/dev/null || true; cat '$$err' >&2; rm -f '$$out' '$$err EXIT; \
+	trap 'kill -KILL -'$$pid' 2>/dev/null || true; cat '$$err' >&2; rm -f '$$out' '$$err EXIT; \
 	for i in $$(seq 600); do grep -q 'http://' $$out && break; sleep 0.1; done; \
 	url=$$(grep -o 'http://[^ ]*' $$out); echo "serve-smoke: $$url"; \
 	route() { curl -s -o /dev/null -w '%{http_code}' -d "$$1" "$$url/api/route"; }; \
 	code=$$(route '{"version": 1, "source_lat": -37.83, "source_lon": 144.93, "target_lat": -37.79, "target_lon": 144.99}'); \
 	test "$$code" = 200 || { echo "flat body answered $$code, expected 200"; exit 1; }; \
+	code=$$(route '{"version": 1, "source_lat": -37.83, "source_lon": 144.93, "target_lat": -37.79, "target_lon": 144.99, "approaches": ["Yen"]}'); \
+	test "$$code" = 400 || { echo "unserved approach answered $$code, expected 400"; exit 1; }; \
 	code=$$(route '{}'); \
 	test "$$code" = 400 || { echo "empty body answered $$code, expected 400"; exit 1; }; \
 	kill -TERM $$pid; wait $$pid; \
-	for i in $$(seq 100); do kill -0 -- -$$pid 2>/dev/null || break; sleep 0.1; done; \
-	! kill -0 -- -$$pid 2>/dev/null || { echo "process group outlived SIGTERM"; exit 1; }; \
+	for i in $$(seq 100); do kill -0 -$$pid 2>/dev/null || break; sleep 0.1; done; \
+	! kill -0 -$$pid 2>/dev/null || { echo "process group outlived SIGTERM"; exit 1; }; \
 	snap=$$(sed -n 's/^built snapshot //p' $$err); test -n "$$snap"; \
 	test ! -e "$$(dirname "$$snap")" || { echo "$$(dirname "$$snap") outlived SIGTERM"; exit 1; }; \
 	echo "serve-smoke: ok"

@@ -1104,8 +1104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser(
         "serve",
-        help="serve routes from per-city worker processes over "
-        "mmap'd snapshots (the sharded deployment)",
+        help="serve the paper's four approaches from per-city worker "
+        "processes over mmap'd snapshots (the sharded deployment)",
     )
     serve.add_argument(
         "--shard", action="append", required=True,

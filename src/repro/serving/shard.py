@@ -9,6 +9,14 @@ route-for-route identical to single-process serving (the differential
 tier ``tests/serving/test_shard_differential.py`` pins fingerprint
 equality for every registered planner in every city).
 
+A worker serves the paper's four study approaches
+(:data:`~repro.core.registry.PAPER_APPROACHES`) unless its
+:class:`ShardSpec` names more: ``ShardSpec(planners=...)`` opts in any
+other registered planner, and a planner that reads a contraction
+hierarchy or landmark table (``ChViaNode``) gets it built then.  A
+request naming an approach the worker does not serve is a
+:class:`~repro.exceptions.QueryError` (HTTP 400).
+
 Memory does not multiply with the worker count: when a shard is given
 a version-3 snapshot path, the worker loads it via
 :func:`~repro.graph.csr.map_snapshot`, so the CSR/ALT/CH arrays are
@@ -61,6 +69,11 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.registry import (
+    PAPER_APPROACHES,
+    available_planners,
+    make_planner,
+)
 from repro.exceptions import (
     ConfigurationError,
     QueryError,
@@ -91,7 +104,13 @@ class ShardSpec:
     Give ``snapshot_path`` (a version-3 RPRN file) for the zero-copy
     mmap load; without it the worker builds the named synthetic city
     (``melbourne`` / ``dhaka`` / ``copenhagen``) at ``size``/``seed``.
-    ``planners`` defaults to every registered planner.  ``live=True``
+    ``planners`` names the approaches the worker builds and serves; it
+    defaults to the paper's four (:data:`PAPER_APPROACHES`), and any
+    other registered planner is opted in by listing it, e.g.
+    ``planners=available_planners()``.  The set must contain the four
+    study approaches and name only registered planners, or the spec
+    raises :class:`ConfigurationError` before any worker is spawned.
+    ``live=True``
     attaches a per-shard
     :class:`~repro.serving.live.LiveTrafficController` so the parent
     can stream traffic batches into exactly one city.
@@ -105,7 +124,7 @@ class ShardSpec:
     snapshot_path: Optional[str] = None
     size: str = "small"
     seed: int = 0
-    planners: Optional[Tuple[str, ...]] = None
+    planners: Tuple[str, ...] = PAPER_APPROACHES
     precompute_landmarks: int = 0
     precompute_ch: bool = False
     live: bool = False
@@ -118,6 +137,21 @@ class ShardSpec:
     def __post_init__(self) -> None:
         if not self.city:
             raise ConfigurationError("shard city must be non-empty")
+        missing = [
+            name for name in PAPER_APPROACHES if name not in self.planners
+        ]
+        if missing:
+            raise ConfigurationError(
+                f"shard {self.city!r}: planners must include the study "
+                f"approaches; missing {missing}"
+            )
+        registered = available_planners()
+        unknown = [name for name in self.planners if name not in registered]
+        if unknown:
+            raise ConfigurationError(
+                f"shard {self.city!r}: unknown planners {unknown}; "
+                f"registered planners: {sorted(registered)}"
+            )
 
 
 # -- worker process ----------------------------------------------------------
@@ -125,7 +159,6 @@ class ShardSpec:
 
 def _build_worker_service(spec: ShardSpec):
     """Construct the in-worker RouteService (runs in the child)."""
-    from repro.core.registry import available_planners, make_planner
     from repro.graph.csr import map_snapshot
     from repro.serving.live import LiveTrafficController
     from repro.serving.service import RouteService
@@ -150,8 +183,7 @@ def _build_worker_service(spec: ShardSpec):
             )
         network = builder(size=spec.size, seed=spec.seed)
 
-    names = spec.planners or tuple(available_planners())
-    planners = {name: make_planner(name, network) for name in names}
+    planners = {name: make_planner(name, network) for name in spec.planners}
     live = LiveTrafficController(network) if spec.live else None
     service = RouteService.from_network(
         network,

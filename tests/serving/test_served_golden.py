@@ -49,9 +49,11 @@ from pathlib import Path
 import pytest
 
 from repro.cities import CITY_BUILDERS
+from repro.core.ch import attached_hierarchy
+from repro.core.registry import PAPER_APPROACHES, make_planner
 from repro.experiments.queries import sample_od_pairs
 from repro.graph.builder import RoadNetworkBuilder
-from repro.graph.csr import map_snapshot, save_snapshot
+from repro.graph.csr import load_snapshot, map_snapshot, save_snapshot
 from repro.serving import RouteQuery, RouteService
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "served_answers.json"
@@ -172,10 +174,9 @@ def _serve(network, pairs):
 
 
 @pytest.fixture(scope="module")
-def served(tmp_path_factory):
-    """Per network: (digest of all mapped trips, mapped prefix,
-    in-memory prefix, digest of all mapped tree counters), the two
-    prefixes as (records, counters) pairs of lists."""
+def trips(tmp_path_factory):
+    """Per network: (in-memory network, its v3 snapshot path, the
+    :data:`TRIPS` served trips)."""
     out = {}
     for key, build in NETWORKS.items():
         network = build()
@@ -184,7 +185,18 @@ def served(tmp_path_factory):
         # Sample on the in-memory build; the mapped network is the
         # same graph, so the trips are identical either way.
         pairs = sample_od_pairs(network, TRIPS, label="perfbench-cold")
-        mapped = map_snapshot(str(path))
+        out[key] = (network, str(path), pairs)
+    return out
+
+
+@pytest.fixture(scope="module")
+def served(trips):
+    """Per network: (digest of all mapped trips, mapped prefix,
+    in-memory prefix, digest of all mapped tree counters), the two
+    prefixes as (records, counters) pairs of lists."""
+    out = {}
+    for key, (network, path, pairs) in trips.items():
+        mapped = map_snapshot(path)
         records, counters = _serve(mapped.network, pairs)
         memory = _serve(network, pairs[:IN_MEMORY_TRIPS])
         out[key] = (
@@ -239,3 +251,37 @@ def test_every_trip_is_a_complete_answer(served, key):
     for record in mapped_prefix:
         assert not record["answer"]["degraded"], record["answer"]["errors"]
         assert sorted(record["planners"]) == ["A", "B", "C", "D"]
+
+
+@pytest.mark.parametrize("key", sorted(NETWORKS))
+def test_study_planners_never_search_an_attached_hierarchy(trips, key):
+    """Shard workers build ``ChViaNode``, and with it a contraction
+    hierarchy, only when a spec opts it in.  That leaves the study's
+    answers unchanged only because the four study planners never search
+    the hierarchy (or landmarks), although ``resolve_backend("auto")``
+    picks CH whenever one is attached: they plan on the shared
+    Dijkstra trees and the plain kernel."""
+    _, path, pairs = trips[key]
+    network = load_snapshot(path)
+    make_planner("ChViaNode", network)
+    assert attached_hierarchy(network) is not None
+    service = RouteService.from_network(
+        network, cache_size=1024, timeout_s=120.0
+    )
+    try:
+        searched = 0
+        for pair in pairs:
+            source, target = network.node(pair[0]), network.node(pair[1])
+            result = service.query(
+                RouteQuery(source.lat, source.lon, target.lat, target.lon)
+            )
+            assert sorted(
+                route_set.approach for route_set in result.route_sets.values()
+            ) == sorted(PAPER_APPROACHES)
+            for route_set in result.route_sets.values():
+                searched += (
+                    route_set.stats.backend_ch + route_set.stats.backend_alt
+                )
+    finally:
+        service.close()
+    assert searched == 0

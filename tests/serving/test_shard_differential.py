@@ -8,7 +8,10 @@ checked on the blinded route fingerprints from
 :func:`~repro.observability.querylog.result_fingerprints` (the replay
 harness's primitive), for every registered planner on all three study
 cities, and again under a live-traffic epoch applied to exactly one
-shard.
+shard.  Workers serve the paper's four approaches unless a spec opts
+more in, so the every-planner fleet lists them all; a second fleet on
+default specs must answer A-D like the nine-planner reference, whose
+``ChViaNode`` has a contraction hierarchy attached.
 
 Tests in this module mutate shared worker state (the live-epoch case
 advances the melbourne shard's epoch), so they run in definition
@@ -20,6 +23,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cities import CITY_BUILDERS
+from repro.core.ch import attached_hierarchy
 from repro.core.registry import available_planners, make_planner
 from repro.graph.csr import load_snapshot, save_snapshot
 from repro.observability.querylog import result_fingerprints
@@ -55,9 +59,21 @@ def router(snapshots):
         ShardSpec(
             city=city,
             snapshot_path=path,
+            planners=PLANNERS,
             live=(city == LIVE_CITY),
             timeout_s=120.0,
         )
+        for city, path in sorted(snapshots.items())
+    ]
+    with ShardRouter(specs) as router:
+        yield router
+
+
+@pytest.fixture(scope="module")
+def paper_router(snapshots):
+    """Default specs: the workers build the four study approaches."""
+    specs = [
+        ShardSpec(city=city, snapshot_path=path, timeout_s=120.0)
         for city, path in sorted(snapshots.items())
     ]
     with ShardRouter(specs) as router:
@@ -155,6 +171,23 @@ class TestEveryPlannerEveryCity:
             assert routed["city"] == city
             pinned = router.route(request, city=city)
             assert routed["fingerprints"] == pinned["fingerprints"]
+
+
+class TestDefaultPlannerSet:
+    def test_default_shard_answers_like_the_nine_planner_service(
+        self, paper_router, services
+    ):
+        """Leaving ``ChViaNode`` (and its hierarchy) out of a worker
+        changes none of the study's A-D answers."""
+        for city in CITIES:
+            service = services[city]
+            network = service.processor.network
+            assert attached_hierarchy(network) is not None
+            for request in _requests(network, count=3, seed=31):
+                out = paper_router.route(request, city=city)
+                expected = _expected(service, request)
+                assert sorted(expected) == ["A", "B", "C", "D"]
+                assert out["fingerprints"] == expected
 
 
 class TestLiveEpochDifferential:
